@@ -41,16 +41,15 @@ CRITERIA = ("quadratic", "time", "var")
 AUDIT_TOL_SCALE = 1e-9
 
 
-def _lagrangian(criterion: str, params: MarketParams, t: np.ndarray,
-                s: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    c1, c2 = params.impact, params.risk_aversion
-    base = r * s + c1**2 * r**2
+def _level_weights(criterion: str, params: MarketParams, t: np.ndarray):
+    """Weights (a, b) of the running cost r S + c1^2 r^2 + a q^2 + b q S."""
+    c2sq = params.risk_aversion**2
     if criterion == "quadratic":
-        return base + c2**2 * q**2
+        return c2sq, 0.0
     if criterion == "time":
-        return base + c2**2 * t * q**2
+        return c2sq * t, 0.0
     if criterion == "var":
-        return base + c2**2 * q * s
+        return 0.0, c2sq
     raise DomainError(f"unknown criterion {criterion!r}")
 
 
@@ -69,9 +68,10 @@ def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
     """Trapezoid integral of the running cost F(t, S_t, q_t, r_t)."""
     if not realized.grid.same_as(plan.grid):
         raise GridMismatchError("realized path and plan must share the grid")
-    t = realized.grid.times
-    f = _lagrangian(criterion, params, t, realized.values, plan.q.values, plan.r.values)
-    return trapezoid(f, t)
+    t, s, q, r = realized.grid.times, realized.values, plan.q.values, plan.r.values
+    a, b = _level_weights(criterion, params, t)
+    f = r * s + params.impact**2 * r**2 + a * q**2
+    return trapezoid(f + b * q * s if b else f, t)
 
 
 def cost_report(criterion: str, params: MarketParams, realized: SampledPath,
@@ -98,19 +98,13 @@ def pathwise_f_weight(criterion: str, params: MarketParams, eta: SampledPath,
     time:      sqrt( int c2^2 t eta^2 + c1^2 eta'^2 )
     var:       sqrt( int c1^2 eta'^2 )      (the level term drops out)
 
-    The rate is taken by finite differences unless an analytic one is given.
+    The level weight is the running cost's ``a``.  The rate is taken by
+    finite differences unless an analytic one is given.
     """
     t = eta.grid.times
-    c1, c2 = params.impact, params.risk_aversion
     d_eta = rate if rate is not None else _rate_of(eta)
-    if criterion == "quadratic":
-        sq = c2**2 * eta.values**2 + c1**2 * d_eta**2
-    elif criterion == "time":
-        sq = c2**2 * t * eta.values**2 + c1**2 * d_eta**2
-    elif criterion == "var":
-        sq = c1**2 * d_eta**2
-    else:
-        raise DomainError(f"unknown criterion {criterion!r}")
+    a, _ = _level_weights(criterion, params, t)
+    sq = a * eta.values**2 + params.impact**2 * d_eta**2
     return math.sqrt(max(trapezoid(sq, t), 0.0))
 
 
@@ -146,6 +140,8 @@ class AuditReport:
     tolerance: float
     xi: float
     j_value: float
+    # max_k |ell_k - b_k(T) (2 c1^2 r_T + S_T)|, a health report, not a gate
+    first_variation_gap: float
 
     @property
     def ok(self) -> bool:
@@ -155,40 +151,46 @@ class AuditReport:
 N_SINE_MODES = 16
 
 
-def _perturbation_matrix(grid_times: np.ndarray, horizon: float, count: int,
-                         seed: int, scale: float):
-    """Random compact-support perturbations: sine modes with Gaussian weights.
+def _perturbation_matrix(count: int, seed: int, scale: float):
+    """Gaussian sine-mode coefficients (count, 16) and endpoint-bump draws.
 
     Per-perturbation sub-seeds keep the draw independent of evaluation order.
-    Returns the paths, their derivatives, and one extra uniform draw per
-    perturbation used by the caller to size an optional endpoint bump.
     """
     k = np.arange(1, N_SINE_MODES + 1)
-    basis = np.sin(np.outer(k, np.pi * grid_times / horizon))
-    basis[:, -1] = 0.0  # sin(k pi) exactly, not float dust
-    dbasis = (k[:, None] * np.pi / horizon) * np.cos(np.outer(k, np.pi * grid_times / horizon))
-    children = np.random.SeedSequence(seed).spawn(count)
     coeffs = np.empty((count, N_SINE_MODES))
     bump_draws = np.empty(count)
-    for i, child in enumerate(children):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rng = np.random.Generator(np.random.PCG64(child))
         coeffs[i] = rng.standard_normal(N_SINE_MODES) * scale / k
         bump_draws[i] = rng.uniform(-1.2, 1.2)
-    return coeffs @ basis, coeffs @ dbasis, bump_draws
+    return coeffs, bump_draws
 
 
-def _weight_sq(criterion: str, params: MarketParams, t: np.ndarray,
-               e: np.ndarray, de: np.ndarray) -> np.ndarray:
-    c1, c2 = params.impact, params.risk_aversion
-    if criterion == "quadratic":
-        sq = c2**2 * e**2 + c1**2 * de**2
-    elif criterion == "time":
-        sq = c2**2 * t * e**2 + c1**2 * de**2
-    elif criterion == "var":
-        sq = c1**2 * de**2
-    else:
-        raise DomainError(f"unknown criterion {criterion!r}")
-    return np.trapezoid(sq, t, axis=1)
+def _quadratic_form(criterion: str, params: MarketParams, realized: SampledPath,
+                    plan: ExecutionPlan):
+    """The trapezoid cost in the coefficients c of e = sum_k c_k b_k.
+
+    The b_k are sin(k pi t/T), k = 1..16, and the ramp t/T (coefficient e_T).
+    The cost is quadratic in (e, e') and the trapezoid rule linear, so up to
+    rounding J(q + e) - J(q) = ell . c + c G c, and G is also the F-weight's
+    Gram matrix, |e|_F^2 = c G c.  ``ell`` projects the first variation
+    (S + 2 c1^2 r) e' + (2 a q + b S) e of the plan's own q, r and realized S.
+    Returns ell, G and b_k(T).
+    """
+    t, s, horizon = realized.grid.times, realized.values, params.horizon
+    k = np.arange(1, N_SINE_MODES + 1)[:, None]
+    phase = k * (np.pi * t / horizon)
+    basis = np.vstack([np.sin(phase), t / horizon])
+    basis[:N_SINE_MODES, -1] = 0.0  # sin(k pi) exactly, not float dust
+    dbasis = np.vstack([(k * np.pi / horizon) * np.cos(phase), np.full_like(t, 1.0 / horizon)])
+    dt = np.diff(t)
+    w = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))  # trapezoid weights
+    c1sq = params.impact**2
+    a, b = _level_weights(criterion, params, t)
+    ell = (basis @ (w * (2.0 * a * plan.q.values + b * s))
+           + dbasis @ (w * (s + 2.0 * c1sq * plan.r.values)))
+    gram = (basis * (w * a)) @ basis.T + c1sq * (dbasis * w) @ dbasis.T
+    return ell, gram, basis[:, -1]
 
 
 def audit_good_inequality(criterion: str, params: MarketParams,
@@ -205,10 +207,11 @@ def audit_good_inequality(criterion: str, params: MarketParams,
     perturbations are those with |e_T| <= xi |e|_F^2 for the schedule's
     certificate xi; every kept one whose cost improves on the schedule by
     more than the quadrature tolerance 1e-9 (1 + |J(q)|) is a violation.
+
+    Each perturbation is evaluated exactly through ``_quadratic_form``.
     """
     if not realized.grid.same_as(plan.grid):
         raise GridMismatchError("realized path and plan must share the grid")
-    t = realized.grid.times
     j0 = cost_J(criterion, params, realized, plan)
     tol = AUDIT_TOL_SCALE * (1.0 + abs(j0))
     if plan.certificate is None:
@@ -217,34 +220,28 @@ def audit_good_inequality(criterion: str, params: MarketParams,
     if scale is None:
         scale = 1e-3 * max(abs(params.initial_inventory), 1.0)
 
-    e, de, bump_draws = _perturbation_matrix(t, params.horizon, perturbations,
-                                             seed, scale)
+    ell, gram, end = _quadratic_form(criterion, params, realized, plan)
+    sines, bump_draws = _perturbation_matrix(perturbations, seed, scale)
+    f_sq = lambda c: np.sum((c @ gram) * c, axis=1)  # |e|_F^2 per row
+    coef = np.hstack([sines, np.zeros((perturbations, 1))])
     if endpoint_bump:
-        radius = (xi if math.isfinite(xi) else 1.0) * _weight_sq(
-            criterion, params, t, e, de)
-        bumps = bump_draws * radius
-        e = e + np.outer(bumps, t / params.horizon)
-        de = de + bumps[:, None] / params.horizon
+        coef[:, -1] = bump_draws * ((xi if math.isfinite(xi) else 1.0) * f_sq(coef))
 
-    w_sq = _weight_sq(criterion, params, t, e, de)
-    member = np.abs(e[:, -1]) <= (np.inf if math.isinf(xi) else xi * w_sq)
-    q_pert = plan.q.values[None, :] + e
-    r_pert = plan.r.values[None, :] + de
-    f = _lagrangian(criterion, params, t[None, :], realized.values[None, :], q_pert, r_pert)
-    j_pert = np.trapezoid(f, t, axis=1)
-
-    violations = [
-        (int(i), float(j0 - j_pert[i]))
-        for i in np.nonzero(member & (j_pert < j0 - tol))[0]
-    ]
+    w_sq = f_sq(coef)
+    member = np.abs(coef @ end) <= (np.inf if math.isinf(xi) else xi * w_sq)
+    delta_j = coef @ ell + w_sq
+    bad = np.nonzero(member & (delta_j < -tol))[0]
+    # an optimal plan's first variation is e_T (2 c1^2 r_T + S_T)
+    boundary = 2.0 * params.impact**2 * plan.r.values[-1] + realized.values[-1]
     return AuditReport(
         criterion=criterion,
         checked=perturbations,
         kept=int(member.sum()),
-        violations=violations,
+        violations=[(int(i), float(-delta_j[i])) for i in bad],
         tolerance=tol,
         xi=xi,
         j_value=j0,
+        first_variation_gap=float(np.max(np.abs(ell - end * boundary))),
     )
 
 

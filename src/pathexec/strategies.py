@@ -21,7 +21,7 @@ random but unbiased: E[q_T] equals the liquidation target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -69,6 +69,8 @@ class MarketParams:
     terminal_penalty: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise DomainError("market parameters must be finite")
         if self.impact <= 0.0:
             raise DomainError("impact coefficient must be > 0")
         if self.risk_aversion < 0.0 or self.terminal_penalty < 0.0:

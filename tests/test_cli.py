@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from pathexec.cli import main
+from pathexec.errors import ConfigError
+from pathexec.harness import load_config
 
 
 CONFIG = """
@@ -67,6 +69,15 @@ def test_validation_exit_code(config_file, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model = nonsense\n")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+def test_non_finite_params_exit_code(tmp_path):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(CONFIG.replace("params.impact = 1.35", "params.impact = nan"))
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(str(bad))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_io_exit_code(tmp_path):

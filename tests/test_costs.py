@@ -23,6 +23,7 @@ from pathexec import (
     tubular_member,
     twap,
 )
+from pathexec.costs import _quadratic_form
 from pathexec.pricemodels import expected_path, sample_path, variance_path
 from pathexec.strategies import ExecutionPlan
 from dataclasses import replace
@@ -183,6 +184,125 @@ def test_audit_flags_a_non_optimal_plan(grid, brownian_path):
     report = audit_good_inequality("quadratic", PARAMS, brownian_path, fake,
                                    perturbations=300, seed=1)
     assert not report.ok
+
+
+def _dense_basis(t, horizon):
+    # the 16 sine modes and the t/T ramp on the grid, with their derivatives
+    k = np.arange(1, 17)
+    basis = np.vstack([np.sin(np.outer(k, np.pi * t / horizon)), t / horizon])
+    basis[:16, -1] = 0.0
+    dbasis = np.vstack([(k[:, None] * np.pi / horizon) * np.cos(np.outer(k, np.pi * t / horizon)),
+                        np.full_like(t, 1.0 / horizon)])
+    return basis, dbasis
+
+
+def _perturbed(plan, e, de):
+    return ExecutionPlan(q=SampledPath(plan.grid, plan.q.values + e),
+                         r=SampledPath(plan.grid, plan.r.values + de),
+                         strategy_tag="pert", criterion_tag=plan.criterion_tag)
+
+
+def _dense_audit(criterion, params, realized, plan, perturbations, seed):
+    """Reference audit: every perturbation is built on the grid and costed by cost_J."""
+    t, c1, c2 = realized.grid.times, params.impact, params.risk_aversion
+    level = {"quadratic": c2**2, "time": c2**2 * t, "var": 0.0}[criterion]
+    weight_sq = lambda e, de: np.trapezoid(level * e**2 + c1**2 * de**2, t, axis=1)
+    basis, dbasis = _dense_basis(t, params.horizon)
+    scale = 1e-3 * max(abs(params.initial_inventory), 1.0)
+    k = np.arange(1, 17)
+    coeffs = np.empty((perturbations, 16))
+    bump_draws = np.empty(perturbations)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(perturbations)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        coeffs[i] = rng.standard_normal(16) * scale / k
+        bump_draws[i] = rng.uniform(-1.2, 1.2)
+    e, de = coeffs @ basis[:16], coeffs @ dbasis[:16]
+    xi = plan.certificate.xi
+    bumps = bump_draws * (xi if math.isfinite(xi) else 1.0) * weight_sq(e, de)
+    e, de = e + np.outer(bumps, basis[16]), de + np.outer(bumps, dbasis[16])
+    member = np.abs(e[:, -1]) <= (np.inf if math.isinf(xi) else xi * weight_sq(e, de))
+    j0 = cost_J(criterion, params, realized, plan)
+    tol = 1e-9 * (1.0 + abs(j0))
+    j_pert = np.array([cost_J(criterion, params, realized, _perturbed(plan, e[i], de[i]))
+                       for i in range(perturbations)])
+    bad = np.nonzero(member & (j_pert < j0 - tol))[0]
+    return int(member.sum()), [(int(i), float(j0 - j_pert[i])) for i in bad], tol
+
+
+def _good_plan(criterion, params, realized):
+    e = expected_path(ArithmeticBrownian(100.0, 5.0), realized.grid)
+    if criterion == "quadratic":
+        return good_exec_quadratic_closed(params, realized, e)
+    if criterion == "var":
+        return good_exec_var_closed(params, realized, e)
+    airy = airy_pair(params.risk_ratio ** (2.0 / 3.0), 1e-9)
+    return good_exec_time_closed(params, realized, e, airy)
+
+
+@pytest.mark.parametrize("forged", [False, True])
+@pytest.mark.parametrize("criterion", ["quadratic", "time", "var"])
+def test_audit_matches_dense_reference(criterion, forged, grid, brownian_path):
+    realized = brownian_path
+    plan = _good_plan(criterion, PARAMS, realized)
+    if forged:  # a non-optimal plan, so that the violation lists are not empty
+        plan = replace(twap(PARAMS, grid), certificate=plan.certificate)
+    report = audit_good_inequality(criterion, PARAMS, realized, plan,
+                                   perturbations=300, seed=17)
+    kept, violations, tol = _dense_audit(criterion, PARAMS, realized, plan, 300, seed=17)
+    assert report.kept == kept
+    assert [i for i, _ in report.violations] == [i for i, _ in violations]
+    assert bool(violations) == forged
+    for (_, got), (_, want) in zip(report.violations, violations):
+        assert got == pytest.approx(want, abs=tol)
+
+
+def _check_cost_identity(criterion, params, realized, plan, coef):
+    basis, dbasis = _dense_basis(realized.grid.times, params.horizon)
+    ell, gram, end = _quadratic_form(criterion, params, realized, plan)
+    np.testing.assert_array_equal(end, basis[:, -1])
+    j0 = cost_J(criterion, params, realized, plan)
+    for c in coef:
+        e, de = c @ basis, c @ dbasis
+        want = cost_J(criterion, params, realized, _perturbed(plan, e, de)) - j0
+        assert ell @ c + c @ gram @ c == pytest.approx(want, abs=1e-9 * (1.0 + abs(j0)))
+        w = pathwise_f_weight(criterion, params, SampledPath(realized.grid, e), rate=de)
+        assert c @ gram @ c == pytest.approx(w**2, rel=1e-9)
+
+
+@pytest.mark.parametrize("criterion", ["quadratic", "time", "var"])
+def test_quadratic_form_matches_cost_J(criterion, brownian_path):
+    plan = _good_plan(criterion, PARAMS, brownian_path)
+    coef = np.random.default_rng(8).standard_normal((5, 17))
+    coef[1:] *= [[1e-3], [1.0], [30.0], [1e3]]  # from audit-sized to x0-sized
+    _check_cost_identity(criterion, PARAMS, brownian_path, plan, coef)
+
+
+@given(c1=st.floats(0.05, 5.0), c2=st.floats(0.0, 5.0),
+       x0=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_quadratic_form_identity_property(c1, c2, x0, seed):
+    params = MarketParams(impact=c1, risk_aversion=c2, initial_inventory=x0, horizon=1.0)
+    realized = sample_path(ArithmeticBrownian(100.0, 5.0), TimeGrid.uniform(1.0, 128), seed)
+    # the identity holds for any plan, optimal or not
+    plan = good_exec_quadratic_closed(params, realized,
+                                      expected_path(ArithmeticBrownian(100.0, 5.0), realized.grid))
+    coef = np.random.default_rng(seed).standard_normal((3, 17)) * max(abs(x0), 1.0) * 1e-2
+    for criterion in ("quadratic", "time", "var"):
+        _check_cost_identity(criterion, params, realized, plan, coef)
+
+
+def test_first_variation_gap_shrinks_under_refinement():
+    fine = TimeGrid.uniform(1.0, 4096)
+    path = sample_path(ArithmeticBrownian(100.0, 5.0), fine, seed=3)
+    gaps = []
+    for n in (512, 4096):
+        realized = SampledPath(fine.restrict(n), path.values[:: 4096 // n])
+        plan = _good_plan("quadratic", PARAMS, realized)
+        report = audit_good_inequality("quadratic", PARAMS, realized, plan,
+                                       perturbations=1, seed=0)
+        gaps.append(report.first_variation_gap)
+    # second order in the mesh: 64x per 8x refinement, asserted at 16x
+    assert 0.0 < gaps[1] < gaps[0] / 16.0
 
 
 def test_own_terminal_pinned_solution_coincides(grid, brownian_path):

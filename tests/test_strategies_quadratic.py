@@ -163,6 +163,15 @@ def test_grid_and_domain_errors(fig2_params, grid, brownian_path):
         MarketParams(impact=0.0, risk_aversion=1.0, initial_inventory=1.0, horizon=1.0)
 
 
+def test_market_params_reject_non_finite():
+    good = dict(impact=1.35, risk_aversion=1.15, initial_inventory=1_000.0, horizon=1.0,
+                target_inventory=0.0, terminal_penalty=0.0)
+    for field in good:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                MarketParams(**{**good, field: value})
+
+
 def test_alt_terminal_window_constants():
     params = MarketParams(impact=1.0, risk_aversion=1.0, initial_inventory=1.0, horizon=1.0)
     g = TimeGrid.uniform(1.0, 2048)
