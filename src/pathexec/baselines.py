@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import GridMismatchError
-from .pathcalc import SampledPath, TimeGrid, cumulative_trapezoid
+from .pathcalc import SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young
 from .strategies import ExecutionPlan, MarketParams, _plan, quadratic_trajectory
 
 __all__ = [
@@ -48,10 +48,11 @@ def aposteriori_optimal(params: MarketParams, realized: SampledPath) -> Executio
 
     Anticipative: the terminal constant is rebuilt from the whole realized
     trajectory, so this is a benchmark, never an implementable schedule.
+    A ``(paths, N)`` block gives one plan per row, as the builders do.
     """
     q, r = quadratic_trajectory(params, realized, realized)
     return _plan(params, realized.grid, q, r, "aposteriori", "quadratic",
-                 float(realized.values[-1]))
+                 realized.values[..., -1])
 
 
 def _phi_ratio(params: MarketParams, u: np.ndarray, v: np.ndarray):
@@ -107,8 +108,7 @@ def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
     dphi_rev = _dphi_scaled(params, T - t)        # phi'(T-t)/c3
     # v(t) = [G(T) - G(t)] / (2 c1^2 phi(T-t)) with G a left-point Stieltjes
     # cumulative of phi(T-r) against the drift increments
-    da = np.diff(drift.values)
-    g = np.concatenate(([0.0], np.cumsum(phi_rev[:-1] * da)))
+    g = cumulative_young(phi_rev, drift.values)
     v = (g[-1] - g) / (half_impact * phi_rev)
 
     # q = phi(T-t) * [ x0/phi(T) + int_0^t v/phi(T-s) ds ]

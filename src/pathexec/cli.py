@@ -11,13 +11,16 @@ import sys
 
 import numpy as np
 
-from . import baselines, costs, pricemodels, strategies
 from .calibration import calibrate_ou_jump
 from .errors import ConfigError, CsvParseError, DomainError, PathexecError
-from .harness import emit_plotdata, ingest_csv, load_config, run_scenario
+from .harness import (RunArtifact, emit_plotdata, evaluate_block, ingest_csv, load_config,
+                      run_scenario, trajectory_bundles)
 from .pathcalc import SampledPath, TimeGrid
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 2, 3
+# printed label -> replayed strategy; "good" is quadratic whatever the criterion
+BACKTEST_STRATEGIES = {"static": "static", "good": "good-quadratic-closed",
+                       "aposteriori": "aposteriori", "twap": "twap"}
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
@@ -119,28 +122,14 @@ def _cmd_backtest(args) -> int:
     expected = SampledPath(grid, np.exp(np.interp(grid.times / scale, target.grid.times,
                                                   target.values)))
 
-    config.model = pricemodels.DeterministicPrice.from_path(realized)
-    plans = {
-        "static": baselines.static_optimal(config.params, expected),
-        "good": strategies.good_exec_quadratic_closed(config.params, realized, expected),
-        "aposteriori": baselines.aposteriori_optimal(config.params, realized),
-        "twap": baselines.twap(config.params, grid),
-    }
+    plans, cost = evaluate_block(config.criterion, config.params, realized, expected,
+                                 BACKTEST_STRATEGIES.values())
     print(f"backtest of {args.csv}: {series.prices.size} rows, horizon "
           f"{config.params.horizon}")
-    for tag, plan in plans.items():
-        j = costs.cost_J(config.criterion, config.params, realized, plan)
-        print(f"{tag:<14} cost={j:.6g} terminal={plan.terminal:.6g}")
-    from .harness import RunArtifact, TrajectoryBundle
-
-    bundle = TrajectoryBundle(
-        times=grid.times, price=realized.values, expected=expected.values,
-        q_static=plans["static"].q.values, q_good=plans["good"].q.values,
-        q_aposteriori=plans["aposteriori"].q.values, rate_good=plans["good"].r.values,
-    )
-    artifact = RunArtifact(config=config, stats=[], path_count=1,
-                           trajectories=[bundle])
-    files = emit_plotdata(artifact, config.out_dir)
+    for label, tag in BACKTEST_STRATEGIES.items():
+        print(f"{label:<14} cost={cost[tag]:.6g} terminal={plans[tag].terminal:.6g}")
+    bundles = trajectory_bundles(realized, expected, plans, BACKTEST_STRATEGIES["good"])
+    files = emit_plotdata(RunArtifact(config, [], 1, bundles), config.out_dir)
     print(f"wrote {len(files)} files to {config.out_dir}")
     return EXIT_OK
 

@@ -64,8 +64,11 @@ class CostReport:
 
 
 def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
-           plan: ExecutionPlan) -> float:
-    """Trapezoid integral of the running cost F(t, S_t, q_t, r_t)."""
+           plan: ExecutionPlan):
+    """Trapezoid integral of the running cost F(t, S_t, q_t, r_t).
+
+    One cost per path on a ``(paths, N)`` block (the plan may be 1-D).
+    """
     if not realized.grid.same_as(plan.grid):
         raise GridMismatchError("realized path and plan must share the grid")
     t, s, q, r = realized.grid.times, realized.values, plan.q.values, plan.r.values

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "RunArtifact",
     "StrategyStats",
     "run_scenario",
+    "evaluate_block",
+    "trajectory_bundles",
     "ingest_csv",
     "emit_plotdata",
     "load_config",
@@ -36,16 +38,30 @@ __all__ = [
     "ALL_STRATEGIES",
 ]
 
-GOOD_STRATEGIES = (
-    "good-quadratic-closed",
-    "good-quadratic-ivp",
-    "good-time-closed",
-    "good-time-ivp",
-    "good-var-closed",
-    "good-var-ivp",
-)
-BASELINE_STRATEGIES = ("static", "aposteriori", "terminal-penalty", "twap")
-ALL_STRATEGIES = GOOD_STRATEGIES + BASELINE_STRATEGIES
+# Paths evaluated together.  Every formula acts row by row, so results do not
+# depend on it; it bounds the memory of a block (a few MB at grid 512).
+BLOCK_PATHS = 64
+
+
+# tag -> build(params, realized, expected, airy).  Functions are looked up on
+# their modules at call time, so one wrapped in place sees every call.
+STRATEGIES = {
+    "good-quadratic-closed": lambda p, s, e, a: strategies.good_exec_quadratic_closed(p, s, e),
+    "good-quadratic-ivp": lambda p, s, e, a: strategies.good_exec_quadratic_ivp(p, s, e),
+    "good-time-closed": lambda p, s, e, a: strategies.good_exec_time_closed(p, s, e, a),
+    "good-time-ivp": lambda p, s, e, a: strategies.good_exec_time_ivp(p, s, e, a),
+    "good-var-closed": lambda p, s, e, a: strategies.good_exec_var_closed(p, s, e),
+    "good-var-ivp": lambda p, s, e, a: strategies.good_exec_var_ivp(p, s, e),
+    "static": lambda p, s, e, a: baselines.static_optimal(p, e),
+    "aposteriori": lambda p, s, e, a: baselines.aposteriori_optimal(p, s),
+    "terminal-penalty": lambda p, s, e, a: baselines.terminal_penalty_optimal(
+        p, e, SampledPath.constant(e.grid, 0.0)),
+    "twap": lambda p, s, e, a: baselines.twap(p, e.grid),
+}
+# these read only the forecast: built once per run and broadcast over blocks
+FIXED_STRATEGIES = ("static", "terminal-penalty", "twap")
+ALL_STRATEGIES = tuple(STRATEGIES)
+GOOD_STRATEGIES = tuple(tag for tag in STRATEGIES if tag.startswith("good-"))
 
 MODEL_KINDS = (
     "arithmetic-bm",
@@ -128,105 +144,81 @@ class RunArtifact:
         raise KeyError(tag)
 
 
-def _path_seeds(root_seed: int, n: int) -> np.ndarray:
-    return np.random.SeedSequence(root_seed).generate_state(n, np.uint64)
+def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
+                   expected: SampledPath, tags, airy: Optional[AiryPair] = None,
+                   fixed: Optional[dict[str, ExecutionPlan]] = None):
+    """Build each tagged plan once on a block of realized paths and score it.
+
+    ``realized`` holds one path per row; a 1-D path is the one-path block.
+    Plans given in ``fixed`` are reused as they are (broadcast over the rows).
+    Returns (tag -> plan, tag -> per-path cost).
+    """
+    fixed = fixed or {}
+    plans = {tag: fixed[tag] if tag in fixed
+             else STRATEGIES[tag](params, realized, expected, airy) for tag in tags}
+    return plans, {tag: costs.cost_J(criterion, params, realized, plan)
+                   for tag, plan in plans.items()}
 
 
-def _good_runner(tag: str, airy: Optional[AiryPair]) -> Callable:
-    if tag == "good-quadratic-closed":
-        return strategies.good_exec_quadratic_closed
-    if tag == "good-quadratic-ivp":
-        return strategies.good_exec_quadratic_ivp
-    if tag == "good-var-closed":
-        return strategies.good_exec_var_closed
-    if tag == "good-var-ivp":
-        return strategies.good_exec_var_ivp
-    if tag == "good-time-closed":
-        return lambda p, s, e: strategies.good_exec_time_closed(p, s, e, airy)
-    if tag == "good-time-ivp":
-        return lambda p, s, e: strategies.good_exec_time_ivp(p, s, e, airy)
-    raise ConfigError(f"unknown strategy tag {tag!r}")
-
-
-def _closed_good_tag(criterion: str) -> str:
-    return {"quadratic": "good-quadratic-closed", "time": "good-time-closed",
-            "var": "good-var-closed"}[criterion]
+def trajectory_bundles(realized: SampledPath, expected: SampledPath,
+                       plans: dict[str, ExecutionPlan], good_tag: str) -> list[TrajectoryBundle]:
+    """One panel per realized path: price, forecast, and the static, good and
+    a-posteriori schedules of an ``evaluate_block`` result."""
+    good, apost = plans[good_tag], plans["aposteriori"]
+    rows = (np.atleast_2d(v) for v in (realized.values, good.q.values, apost.q.values,
+                                       good.r.values))
+    return [TrajectoryBundle(times=realized.grid.times, price=price, expected=expected.values,
+                             q_static=plans["static"].q.values, q_good=q_good,
+                             q_aposteriori=q_apost, rate_good=rate_good)
+            for price, q_good, q_apost, rate_good in zip(*rows)]
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifact:
-    """Sample paths and evaluate every listed strategy with common random numbers."""
+    """Sample paths and evaluate every listed strategy with common random numbers.
+
+    Paths are sampled one seed each and evaluated in blocks of BLOCK_PATHS;
+    only per-path scalars (and dumped panels) outlive a block.
+    """
     config.validate()
     grid = config.grid()
     params = config.params
     expected = pricemodels.expected_path(config.model, grid)
-    zero_drift = SampledPath(grid, np.zeros(len(grid)))
+    dump_tag = f"good-{config.criterion}-closed"
+    panel_tags = (dump_tag, "static", "aposteriori") if config.dump_trajectories else ()
+    tags = tuple(dict.fromkeys(config.strategy_tags + panel_tags))
 
-    needs_airy = any(t.startswith("good-time") for t in config.strategy_tags) or (
-        config.dump_trajectories and config.criterion == "time"
-    )
     airy = None
-    if needs_airy:
+    if any(tag.startswith("good-time") for tag in tags):
         x_max = max(params.risk_ratio ** (2.0 / 3.0) * params.horizon, 1e-6)
         airy = airy_pair(x_max, tol=1e-9)
+    fixed = {tag: STRATEGIES[tag](params, None, expected, airy)
+             for tag in tags if tag in FIXED_STRATEGIES}
 
-    static_plan = baselines.static_optimal(params, expected)
-    penalty_plan = baselines.terminal_penalty_optimal(params, expected, zero_drift)
-    twap_plan = baselines.twap(params, grid)
-
-    seeds = _path_seeds(config.seed, config.paths)
-    cost_rows: dict[str, list[float]] = {t: [] for t in config.strategy_tags}
-    term_rows: dict[str, list[float]] = {t: [] for t in config.strategy_tags}
-    xi_rows: dict[str, list[float]] = {t: [] for t in config.strategy_tags if t in GOOD_STRATEGIES}
+    seeds = np.random.SeedSequence(config.seed).generate_state(config.paths, np.uint64)
+    # per tag and block: cost, terminal error and xi (NaN off the good tags)
+    rows: dict[str, list] = {tag: [] for tag in config.strategy_tags}
     bundles: list[TrajectoryBundle] = []
-    dump_tag = _closed_good_tag(config.criterion)
-
-    for s in seeds:
-        realized = pricemodels.sample_path(config.model, grid, int(s))
-        plans: dict[str, ExecutionPlan] = {}
-        for tag in config.strategy_tags:
-            if tag == "static":
-                plans[tag] = static_plan
-            elif tag == "twap":
-                plans[tag] = twap_plan
-            elif tag == "terminal-penalty":
-                plans[tag] = penalty_plan
-            elif tag == "aposteriori":
-                plans[tag] = baselines.aposteriori_optimal(params, realized)
-            else:
-                plans[tag] = _good_runner(tag, airy)(params, realized, expected)
-        for tag, plan in plans.items():
-            cost_rows[tag].append(costs.cost_J(config.criterion, params, realized, plan))
-            term_rows[tag].append(plan.terminal - params.target_inventory)
-            if tag in xi_rows and plan.certificate is not None:
-                xi_rows[tag].append(plan.certificate.xi)
+    for lo in range(0, config.paths, BLOCK_PATHS):
+        block = seeds[lo:lo + BLOCK_PATHS]
+        realized = SampledPath(grid, np.stack(
+            [pricemodels.sample_path(config.model, grid, int(s)).values for s in block]))
+        plans, cost = evaluate_block(config.criterion, params, realized, expected, tags,
+                                     airy, fixed)
+        for tag, tag_rows in rows.items():
+            xi = plans[tag].certificate.xi if tag in GOOD_STRATEGIES else np.nan
+            tag_rows.append(np.broadcast_arrays(
+                cost[tag], plans[tag].terminal - params.target_inventory, xi))
         if config.dump_trajectories:
-            good = plans.get(dump_tag) or _good_runner(dump_tag, airy)(params, realized, expected)
-            apost = plans.get("aposteriori") or baselines.aposteriori_optimal(params, realized)
-            bundles.append(TrajectoryBundle(
-                times=grid.times,
-                price=realized.values,
-                expected=expected.values,
-                q_static=static_plan.q.values,
-                q_good=good.q.values,
-                q_aposteriori=apost.q.values,
-                rate_good=good.r.values,
-            ))
+            bundles += trajectory_bundles(realized, expected, plans, dump_tag)
 
     stats = []
     for tag in config.strategy_tags:
-        c = np.array(cost_rows[tag])
-        e = np.array(term_rows[tag])
+        c, e, xi = (np.concatenate(column) for column in zip(*rows[tag]))
         n = c.size
         spread = math.sqrt(n) if n > 1 else 1.0
-        xi_q = None
-        if tag in xi_rows and xi_rows[tag]:
-            finite = np.array([x for x in xi_rows[tag] if math.isfinite(x)])
-            if finite.size:
-                xi_q = {
-                    "q10": float(np.quantile(finite, 0.10)),
-                    "q50": float(np.quantile(finite, 0.50)),
-                    "q90": float(np.quantile(finite, 0.90)),
-                }
+        finite = xi[np.isfinite(xi)]
+        xi_q = ({f"q{p}": float(np.quantile(finite, p / 100)) for p in (10, 50, 90)}
+                if finite.size else None)
         stats.append(StrategyStats(
             tag=tag,
             mean_cost=float(c.mean()),

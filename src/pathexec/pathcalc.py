@@ -6,6 +6,10 @@ paths are left-point Riemann-Stieltjes sums, which converge to the Young
 integral when an absolutely continuous integrand meets a finite p-variation
 integrator.  Smooth-kernel quadratures use the trapezoid rule (second-order,
 exact for affine integrands).
+
+Values may be a ``(paths, N)`` block on one grid: quadratures then run along
+the time axis over C-contiguous rows, so each row's result equals its 1-D
+path's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "ControlFunction",
     "trapezoid",
     "cumulative_trapezoid",
+    "cumulative_young",
     "young_integral",
     "stieltjes_integral",
     "p_variation",
@@ -36,17 +41,29 @@ __all__ = [
 EXACT_PVAR_MAX_POINTS = 2**12
 
 
-def trapezoid(values: np.ndarray, times: np.ndarray) -> float:
-    """Trapezoid-rule integral of ``values`` sampled at ``times``."""
-    return float(np.trapezoid(values, times))
+def trapezoid(values: np.ndarray, times: np.ndarray):
+    """Trapezoid-rule integral of ``values`` sampled at ``times``.
+
+    A float for a 1-D path, one value per path for a ``(paths, N)`` block.
+    """
+    total = np.trapezoid(values, times, axis=-1)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral, zero at the first node."""
-    inc = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
+    """Running trapezoid integral along the time axis, zero at the first node."""
+    inc = 0.5 * (values[..., 1:] + values[..., :-1]) * np.diff(times)
     out = np.empty_like(values, dtype=float)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
+    out[..., 0] = 0.0
+    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    return out
+
+
+def cumulative_young(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarray:
+    """Running left-point sum  I_k = sum_{i<k} w_i (x_{i+1} - x_i)  along the time axis."""
+    inc = integrand[..., :-1] * np.diff(integrator)
+    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
+    np.cumsum(inc, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -108,15 +125,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SampledPath:
-    """A cadlag path observed on a grid: one value per grid point."""
+    """A cadlag path observed on a grid: one value per grid point.
+
+    ``values`` of shape ``(paths, N)`` hold a block of paths on the grid.
+    """
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.shape != self.grid.times.shape:
+        if v.ndim not in (1, 2) or v.shape[-1] != len(self.grid):
             raise DomainError("values and grid must have equal length")
         if not np.all(np.isfinite(v)):
             raise DomainError("path values must be finite")
@@ -133,7 +153,7 @@ class SampledPath:
         return np.diff(self.values)
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 def _require_shared_grid(a: SampledPath, b: SampledPath) -> None:
@@ -166,13 +186,7 @@ def young_integral(integrand: SampledPath, integrator: SampledPath, s: float, t:
 
 def stieltjes_integral(integrand: SampledPath, differentiated: SampledPath, s: float, t: float) -> float:
     """Left-point sum of the integrand against the increments of a smooth path."""
-    _require_shared_grid(integrand, differentiated)
-    i, j = _slice_indices(integrand.grid, s, t)
-    if i == j:
-        return 0.0
-    vals = integrand.values[i:j]
-    d_eta = np.diff(differentiated.values[i : j + 1])
-    return float(vals @ d_eta)
+    return young_integral(integrand, differentiated, s, t)
 
 
 def p_variation(path: SampledPath, p: float, method: str = "auto") -> float:

@@ -40,6 +40,13 @@ def _streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
+def _require_finite(model, *fields: str) -> None:
+    for name in fields:
+        if not math.isfinite(getattr(model, name)):
+            raise DomainError(f"{type(model).__name__}.{name} must be finite, "
+                              f"got {getattr(model, name)}")
+
+
 def two_point_marks(size: float) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Symmetric two-point mark family: +/- size with equal probability."""
     if size < 0:
@@ -60,6 +67,7 @@ class ArithmeticBrownian:
     kind = "arithmetic-bm"
 
     def __post_init__(self):
+        _require_finite(self, "s0", "sigma")
         if self.sigma < 0:
             raise DomainError("volatility must be >= 0")
 
@@ -85,6 +93,7 @@ class ExponentialMartingale:
     kind = "exponential-martingale"
 
     def __post_init__(self):
+        _require_finite(self, "s0", "sigma")
         if self.sigma < 0:
             raise DomainError("volatility must be >= 0")
 
@@ -129,6 +138,7 @@ class OuJumpDiffusion:
     kind = "ou-jump-diffusion"
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "sigma", "lam")
         if self.alpha <= 0:
             raise DomainError("mean-reversion speed must be > 0")
         if self.sigma < 0 or self.lam < 0:
@@ -210,6 +220,7 @@ class BrownianBridge:
     kind = "brownian-bridge"
 
     def __post_init__(self):
+        _require_finite(self, "s0", "face_value", "sigma", "maturity")
         if self.face_value <= 0:
             raise DomainError("face value must be > 0")
         if self.sigma < 0:
@@ -249,16 +260,6 @@ class DeterministicPrice:
 
     fn: Callable[[np.ndarray], np.ndarray]
     kind = "deterministic"
-
-    @classmethod
-    def from_path(cls, path: SampledPath) -> "DeterministicPrice":
-        times, vals = path.grid.times, path.values
-
-        def fn(t: np.ndarray) -> np.ndarray:
-            idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, vals.size - 1)
-            return vals[idx]
-
-        return cls(fn)
 
     @property
     def s0(self) -> float:

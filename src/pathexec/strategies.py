@@ -16,6 +16,10 @@ smoothed).  Both constructions read the realized path only up to the current
 time; the future enters solely through the deterministic forecast t -> E[S_t],
 so every schedule is implementable in real time.  The terminal inventory is
 random but unbiased: E[q_T] equals the liquidation target.
+
+Every builder is batch-native: a ``(paths, N)`` block of realized paths gives
+one plan with a row (and a certificate) per path, equal to the 1-D builds; a
+1-D path is the one-path case, with float terminals and certificates.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .airy import AiryPair
 from .errors import DomainError, GridMismatchError
-from .pathcalc import SampledPath, TimeGrid, cumulative_trapezoid, trapezoid
+from .pathcalc import SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young, trapezoid
 
 __all__ = [
     "MarketParams",
@@ -125,13 +129,23 @@ class ExecutionPlan:
         return self.q.grid
 
     @property
-    def terminal(self) -> float:
-        return float(self.q.values[-1])
+    def terminal(self):
+        return _scalar(self.q.values[..., -1])
 
     def max_rate_consistency_gap(self) -> float:
         """Sup gap between q and the running trapezoid integral of r."""
-        rebuilt = self.q.values[0] + cumulative_trapezoid(self.r.values, self.grid.times)
+        rebuilt = self.q.values[..., :1] + cumulative_trapezoid(self.r.values, self.grid.times)
         return float(np.max(np.abs(rebuilt - self.q.values)))
+
+
+def _scalar(x):
+    """0-d results as Python floats; per-path results stay arrays."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _col(x) -> np.ndarray:
+    """A per-path constant as a column broadcasting along the time axis."""
+    return np.asarray(x)[..., None]
 
 
 def _require_shared(realized: SampledPath, expected: SampledPath) -> None:
@@ -158,16 +172,17 @@ def _hyperbolic_convolutions(c3: float, t: np.ndarray, values: np.ndarray):
     return conv_cosh, conv_sinh
 
 
-def _xi_from_terminal(c1: float, r_terminal: float, s_terminal: float) -> float:
+def _xi_from_terminal(c1: float, r_terminal, s_terminal):
     f_t = 2.0 * c1**2 * r_terminal + s_terminal
-    return math.inf if f_t == 0.0 else 1.0 / abs(f_t)
+    with np.errstate(divide="ignore"):
+        return _scalar(1.0 / np.abs(f_t))  # inf where f_t == 0
 
 
 def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
-          strategy_tag: str, criterion_tag: str, s_terminal: float) -> ExecutionPlan:
+          strategy_tag: str, criterion_tag: str, s_terminal) -> ExecutionPlan:
     q = np.array(q, dtype=float)
-    q[0] = params.initial_inventory
-    cert = Certificate(xi=_xi_from_terminal(params.impact, float(r[-1]), s_terminal))
+    q[..., 0] = params.initial_inventory
+    cert = Certificate(xi=_xi_from_terminal(params.impact, r[..., -1], s_terminal))
     return ExecutionPlan(
         q=SampledPath(grid, q),
         r=SampledPath(grid, np.asarray(r, dtype=float)),
@@ -182,14 +197,15 @@ def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def quadratic_trajectory(params: MarketParams, realized: SampledPath,
-                         expected: SampledPath) -> tuple[np.ndarray, np.ndarray]:
+                         expected: Optional[SampledPath] = None,
+                         k=None) -> tuple[np.ndarray, np.ndarray]:
     """Inventory and rate arrays of the quadratic-criterion schedule.
 
     q_t = (1-a(t)) x0 + a(t) xT - conv_cosh(S)(t)/(2 c1^2) + K sinh(c3 t)
     with a(t) = 1 - sinh(c3 (T-t))/sinh(c3 T) and the constant K built from
     the forecast so that E[q_T] = xT.  The rate is the exact time derivative.
+    A given ``k`` overrides K (the forecast is then unused); it needs c2 > 0.
     """
-    _require_shared(realized, expected)
     t = realized.grid.times
     T = params.horizon
     if abs(realized.grid.horizon - T) > 1e-12 * max(1.0, T):
@@ -198,19 +214,24 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
     x0, x_t = params.initial_inventory, params.target_inventory
     s = realized.values
     half_impact = 2.0 * c1**2
+    if k is None:
+        _require_shared(realized, expected)
+    elif params.risk_neutral:
+        raise DomainError("window constants need c2 > 0")
 
     if params.risk_neutral:
         cum_s = cumulative_trapezoid(s, t)
-        total_e = trapezoid(expected.values, t)
+        total_e = _col(trapezoid(expected.values, t))
         q = x0 + (t / T) * (x_t - x0) - cum_s / half_impact + t * total_e / (half_impact * T)
         r = (x_t - x0) / T - s / half_impact + total_e / (half_impact * T)
         return q, r
 
     conv_cosh, conv_sinh = _hyperbolic_convolutions(c3, t, s)
-    conv_cosh_e, _ = _hyperbolic_convolutions(c3, t, expected.values)
     sinh_t_full = math.sinh(c3 * T)
+    if k is None:
+        conv_cosh_e, _ = _hyperbolic_convolutions(c3, t, expected.values)
+        k = _col(conv_cosh_e[..., -1]) / (half_impact * sinh_t_full)
     alpha = 1.0 - np.sinh(c3 * (T - t)) / sinh_t_full
-    k = conv_cosh_e[-1] / (half_impact * sinh_t_full)
     q = x0 + alpha * (x_t - x0) - conv_cosh / half_impact + k * np.sinh(c3 * t)
     r = (
         c3 * np.cosh(c3 * (T - t)) / sinh_t_full * (x_t - x0)
@@ -225,10 +246,10 @@ def good_exec_quadratic_closed(params: MarketParams, realized: SampledPath,
     """Closed-form quadratic-criterion schedule reacting to the realized path."""
     q, r = quadratic_trajectory(params, realized, expected)
     return _plan(params, realized.grid, q, r, "good-quadratic-closed", "quadratic",
-                 float(realized.values[-1]))
+                 realized.values[..., -1])
 
 
-def _quadratic_r0(params: MarketParams, s0: float, expected: SampledPath) -> float:
+def _quadratic_r0(params: MarketParams, s0, expected: SampledPath):
     """Initial rate making the Euler-Lagrange flow hit E[q_T] = xT."""
     t = expected.grid.times
     T = params.horizon
@@ -243,20 +264,22 @@ def _quadratic_r0(params: MarketParams, s0: float, expected: SampledPath) -> flo
     return -s0 / half_impact + c3 / math.sinh(c3 * T) * ((x_t - x0) * math.cosh(c3 * T) + k_tilde)
 
 
-def _euler_ivp(t: np.ndarray, s: np.ndarray, r0: float, x0: float, c1: float,
+def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
                drift) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit Euler for dq = r dt, dr = drift(t, q, s) dt - dS/(2 c1^2)."""
-    n = t.size
-    q = np.empty(n)
-    r = np.empty(n)
+    """Explicit Euler for dq = r dt, dr = drift(t, q, s) dt - dS/(2 c1^2).
+
+    Loops over time only, stepping every path (row) of ``s`` at once.
+    """
+    s_time = s.T
+    q = np.empty(s_time.shape)
+    r = np.empty(s_time.shape)
     q[0], r[0] = x0, r0
-    half_impact = 2.0 * c1**2
-    ds = np.diff(s)
+    jump = np.diff(s_time, axis=0) / (2.0 * c1**2)
     dt = np.diff(t)
-    for i in range(n - 1):
+    for i in range(t.size - 1):
         q[i + 1] = q[i] + r[i] * dt[i]
-        r[i + 1] = r[i] + drift(t[i], q[i], s[i]) * dt[i] - ds[i] / half_impact
-    return q, r
+        r[i + 1] = r[i] + drift(t[i], q[i], s_time[i]) * dt[i] - jump[i]
+    return q.T, r.T
 
 
 def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
@@ -266,13 +289,13 @@ def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
     t = realized.grid.times
     c3sq = params.risk_ratio**2
     x_t = params.target_inventory
-    r0 = _quadratic_r0(params, float(realized.values[0]), expected)
+    r0 = _quadratic_r0(params, realized.values[..., 0], expected)
     q, r = _euler_ivp(
         t, realized.values, r0, params.initial_inventory, params.impact,
         lambda tt, qq, ss: c3sq * (qq - x_t),
     )
     return _plan(params, realized.grid, q, r, "good-quadratic-ivp", "quadratic",
-                 float(realized.values[-1]))
+                 realized.values[..., -1])
 
 
 def certificate_quadratic(params: MarketParams, realized: SampledPath,
@@ -320,19 +343,11 @@ def _airy_basis(params: MarketParams, t: np.ndarray, airy: AiryPair):
     return a, da, b, db
 
 
-def _young_cumulative(weights: np.ndarray, driver: np.ndarray) -> np.ndarray:
-    """Running left-point sum  I_k = sum_{i<k} w_i (x_{i+1} - x_i)."""
-    out = np.empty_like(weights)
-    out[0] = 0.0
-    np.cumsum(weights[:-1] * np.diff(driver), out=out[1:])
-    return out
-
-
 def _time_response(params: MarketParams, t: np.ndarray, a: np.ndarray,
                    driver: np.ndarray):
     """phi(t) = (1/2c1^2) int_0^t a^-2(s) [int_0^s a(u) dX_u] ds and its pieces."""
     half_impact = 2.0 * params.impact**2
-    inner = _young_cumulative(a, driver)
+    inner = cumulative_young(a, driver)
     dphi = inner / (a**2 * half_impact)
     phi = cumulative_trapezoid(dphi, t)
     return phi, dphi
@@ -363,7 +378,7 @@ def good_exec_time_closed(params: MarketParams, realized: SampledPath,
     q = c_a * a + c_b * b - a * phi
     r = c_a * da + c_b * db - da * phi - a * dphi
     return _plan(params, realized.grid, q, r, "good-time-closed", "time",
-                 float(realized.values[-1]))
+                 realized.values[..., -1])
 
 
 def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
@@ -383,7 +398,7 @@ def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
     t = realized.grid.times
     a, da, b, db = _airy_basis(params, t, airy)
     w = a[0] * db[0] - da[0] * b[0]
-    s0 = float(realized.values[0])
+    s0 = realized.values[..., 0]
     half_impact = 2.0 * params.impact**2
     g_prime = (a[-1] * db - b[-1] * da) / w
     k_tilde = (s0 * (a[-1] * b[0] - a[0] * b[-1]) / w
@@ -399,7 +414,7 @@ def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
         lambda tt, qq, ss: c3sq * tt * qq,
     )
     return _plan(params, realized.grid, q, r, "good-time-ivp", "time",
-                 float(realized.values[-1]))
+                 realized.values[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +437,7 @@ def var_trajectory(params: MarketParams, realized: SampledPath,
 
     outer_s, inner_s = nested(realized.values)
     outer_e, _ = nested(expected.values)
-    k = outer_e[-1] / (half_impact * T)
+    k = _col(outer_e[..., -1]) / (half_impact * T)
     q = x0 + (t / T) * (x_t - x0) - outer_s / half_impact + k * t
     r = (x_t - x0) / T - (realized.values - c2**2 * inner_s) / half_impact + k
     return q, r
@@ -433,7 +448,7 @@ def good_exec_var_closed(params: MarketParams, realized: SampledPath,
     """Closed-form schedule under the value-at-risk style criterion."""
     q, r = var_trajectory(params, realized, expected)
     return _plan(params, realized.grid, q, r, "good-var-closed", "var",
-                 float(realized.values[-1]))
+                 realized.values[..., -1])
 
 
 def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
@@ -448,7 +463,7 @@ def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
     T = params.horizon
     c1 = params.impact
     half_impact = 2.0 * c1**2
-    s0 = float(realized.values[0])
+    s0 = _col(realized.values[..., 0])
     inner_e = cumulative_trapezoid(expected.values, t)
     r0 = (params.target_inventory - params.initial_inventory) / T + trapezoid(
         expected.values - s0 - params.risk_aversion**2 * inner_e, t
@@ -459,7 +474,7 @@ def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
         lambda tt, qq, ss: half_c3sq * ss,
     )
     return _plan(params, realized.grid, q, r, "good-var-ivp", "var",
-                 float(realized.values[-1]))
+                 realized.values[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +489,9 @@ def quadratic_with_terminal_constant(params: MarketParams, realized: SampledPath
     the standard one trades the unbiasedness E[q_T] = xT for a softer
     terminal criterion, so the plan is tagged as biased.
     """
-    t = realized.grid.times
-    T = params.horizon
-    c1, c3 = params.impact, params.risk_ratio
-    x0, x_t = params.initial_inventory, params.target_inventory
-    if params.risk_neutral:
-        raise DomainError("window constants need c2 > 0")
-    half_impact = 2.0 * c1**2
-    conv_cosh, conv_sinh = _hyperbolic_convolutions(c3, t, realized.values)
-    alpha = 1.0 - np.sinh(c3 * (T - t)) / math.sinh(c3 * T)
-    q = x0 + alpha * (x_t - x0) - conv_cosh / half_impact + k_value * np.sinh(c3 * t)
-    r = (
-        c3 * np.cosh(c3 * (T - t)) / math.sinh(c3 * T) * (x_t - x0)
-        - (realized.values + c3 * conv_sinh) / half_impact
-        + k_value * c3 * np.cosh(c3 * t)
-    )
+    q, r = quadratic_trajectory(params, realized, k=k_value)
     return _plan(params, realized.grid, q, r, "good-quadratic-biased-terminal",
-                 "quadratic", float(realized.values[-1]))
+                 "quadratic", realized.values[..., -1])
 
 
 def alt_terminal_K(params: MarketParams, expected: SampledPath, mode: str,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -80,6 +81,14 @@ def test_non_finite_params_exit_code(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_model_parameter_exit_code(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(CONFIG.replace("model.sigma = 2.0", "model.sigma = nan"))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "ArithmeticBrownian.sigma must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_io_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
 
@@ -115,3 +124,18 @@ def test_backtest_verb(config_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "aposteriori" in text
     assert (out / "trajectory_0000.csv").exists()
+    # golden output: what the per-plan implementation printed and wrote for this CSV
+    assert text == (
+        f"backtest of {f}: 2001 rows, horizon 1.0\n"
+        "static         cost=2.14387e+06 terminal=-3.55271e-15\n"
+        "good           cost=2.14387e+06 terminal=2.34182e-05\n"
+        "aposteriori    cost=2.14387e+06 terminal=-3.55271e-15\n"
+        "twap           cost=2.16385e+06 terminal=0\n"
+        f"wrote 2 files to {out}\n")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(out))}
+    assert digests == {
+        "summary.json": "6a9d6b490fe73934bed19ab2e53875e1336b550802070bc988ab025f29d14c90",
+        "trajectory_0000.csv":
+            "74849eb674f75847802cb43eff390711acfeb53596d66a855e7d1a8812de32c4",
+    }

@@ -19,6 +19,7 @@ from pathexec import (
     variation_control,
     young_integral,
 )
+from pathexec.pathcalc import cumulative_young
 from pathexec.pricemodels import sample_path
 
 
@@ -211,3 +212,14 @@ def test_variation_control_superadditive(brownian_path):
     triples = np.sort(raw, axis=1)
     assert ctrl.check_superadditive(triples)
     assert ctrl(0.3, 0.3) == 0.0
+
+
+def test_cumulative_young_runs_the_young_integral(brownian_path):
+    eta = SampledPath.from_function(brownian_path.grid, np.cos)
+    t = brownian_path.grid.times
+    running = cumulative_young(eta.values, brownian_path.values)
+    for k in (0, 1, 500, t.size - 1):
+        assert running[k] == pytest.approx(young_integral(eta, brownian_path, 0.0, t[k]),
+                                           abs=1e-12)
+    block = np.stack([brownian_path.values, 2.0 * brownian_path.values])
+    assert np.array_equal(cumulative_young(eta.values, block)[0], running)

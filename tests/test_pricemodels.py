@@ -171,3 +171,19 @@ def test_parameter_validation():
         OuJumpDiffusion(m=flat_log(1.0), alpha=0.0, sigma=0.1, lam=1.0)
     with pytest.raises(DomainError):
         BrownianBridge(s0=1.0, face_value=1.0, sigma=0.1, maturity=-1.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: ArithmeticBrownian(s0=math.nan, sigma=1.0), "s0", id="abm-s0"),
+    pytest.param(lambda: ArithmeticBrownian(s0=100.0, sigma=math.inf), "sigma", id="abm-sigma"),
+    pytest.param(lambda: ExponentialMartingale(s0=math.nan, sigma=0.2), "s0", id="exp-s0"),
+    pytest.param(lambda: BrownianBridge(s0=math.nan, face_value=100.0, sigma=1.0, maturity=1.0),
+                 "s0", id="bridge-s0"),
+    pytest.param(lambda: OuJumpDiffusion(m=flat_log(1.0), alpha=math.inf, sigma=0.1,
+                                         lam=math.nan), "alpha", id="ou-alpha"),
+    pytest.param(lambda: OuJumpDiffusion(m=flat_log(1.0), alpha=5.0, sigma=0.1, lam=math.nan),
+                 "lam", id="ou-lam"),
+])
+def test_non_finite_parameters_name_the_field(build, field):
+    with pytest.raises(DomainError, match=rf"\.{field} must be finite"):
+        build()
