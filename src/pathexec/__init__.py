@@ -50,14 +50,11 @@ from .harness import (
     run_scenario,
 )
 from .pathcalc import (
-    ControlFunction,
     SampledPath,
     TimeGrid,
-    convolve_kernel,
     p_variation,
     resample,
     stieltjes_integral,
-    variation_control,
     young_integral,
 )
 from .pricemodels import (

@@ -1,18 +1,15 @@
 """Evaluators for the two Airy functions and their derivatives.
 
 The linearly time-weighted risk criterion produces inventory trajectories
-built from the independent solutions of u'' = x u.  Only a short interval of
-non-negative arguments is ever needed (x up to (c2/c1)^(2/3) * horizon), so
-the pair is constructed once by fixed-step RK4 integration of the ODE from
-the exact power-series values at the origin:
+built from the independent solutions Ai, Bi of u'' = x u on [0, x_max], with
+x_max = c3^(2/3) T.  Values come from ``scipy.special.airy`` (Amos' Bessel
+routines).  They keep the decaying solution Ai, which forward integration of
+the ODE loses, within about 1e-13 relative of its Bessel-K form.
 
-    Ai(0) = 3^(-2/3)/Gamma(2/3)    Ai'(0) = -3^(-1/3)/Gamma(1/3)
-    Bi(0) = 3^(-1/6)/Gamma(2/3)    Bi'(0) =  3^(1/6)/Gamma(1/3)
-
-Off-node arguments are reached by a single partial RK4 step from the nearest
-node below, so evaluation keeps the integrator's full accuracy everywhere.
-No asymptotic expansions: on this domain Ai stays strictly positive and well
-scaled, which is what the trajectory formulas need (they divide by Ai^2).
+The trajectory formulas divide by Ai^2, so the supported range is the x_max
+for which 1/Ai(x_max)^2 is a finite double: 0 < x_max <= 65.398 (about
+c3 <= 528.87 at T = 1).  ``airy_pair`` rejects anything beyond it with a
+DomainError.
 """
 
 from __future__ import annotations
@@ -21,48 +18,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
-__all__ = ["AiryPair", "airy_pair", "AI_ZERO", "BI_ZERO", "DAI_ZERO", "DBI_ZERO"]
-
-AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-DAI_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-BI_ZERO = 3.0 ** (-1.0 / 6.0) / math.gamma(2.0 / 3.0)
-DBI_ZERO = 3.0 ** (1.0 / 6.0) / math.gamma(1.0 / 3.0)
-
-
-def _rk4_step(x, y, h):
-    """One RK4 step of y' = (u', x u, v', x v) from x with width h (vectorized)."""
-
-    def f(xx, yy):
-        return np.stack([yy[1], xx * yy[0], yy[3], xx * yy[2]])
-
-    k1 = f(x, y)
-    k2 = f(x + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(x + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+__all__ = ["AiryPair", "airy_pair"]
 
 
 @dataclass(frozen=True)
 class AiryPair:
-    """Ai, Bi, Ai', Bi' on [0, x_max], stored as RK4 node values."""
+    """Ai, Bi, Ai', Bi' on [0, x_max]."""
 
     x_max: float
-    step: float
-    nodes: np.ndarray  # shape (4, n_nodes): rows ai, dai, bi, dbi
 
     def _evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         slack = 1e-9 * max(1.0, self.x_max)
         if np.any(x < -slack) or np.any(x > self.x_max + slack):
             raise DomainError(f"argument outside constructed range [0, {self.x_max}]")
-        xc = np.clip(x, 0.0, self.x_max)
-        idx = np.minimum((xc / self.step).astype(int), self.nodes.shape[1] - 1)
-        base_x = idx * self.step
-        y = self.nodes[:, idx]
-        return _rk4_step(base_x, y, xc - base_x)
+        return np.asarray(special.airy(x))  # rows ai, dai, bi, dbi
 
     def ai(self, x):
         return self._evaluate(x)[0]
@@ -121,17 +95,17 @@ class AiryPair:
 
 
 def airy_pair(x_max: float, tol: float = 1e-9) -> AiryPair:
-    """Build the evaluator pair on [0, x_max] to roughly the requested accuracy."""
+    """The evaluator pair on [0, x_max], with x_max = c3^(2/3) T.
+
+    scipy's values are within about 1e-13 relative on the supported range, so
+    they meet any admitted ``tol``; only its range is checked.
+    """
     if not (0.0 < tol <= 1e-4):
         raise DomainError("tolerance must lie in (0, 1e-4]")
     if x_max <= 0.0:
         raise DomainError("need x_max > 0")
-    # global RK4 error ~ n_steps * h^5 ~ x_max * h^4 on an O(1) domain
-    h = min(x_max / 64.0, (tol / (50.0 * max(x_max, 1.0))) ** 0.25)
-    n_steps = int(math.ceil(x_max / h))
-    h = x_max / n_steps
-    nodes = np.empty((4, n_steps + 1))
-    nodes[:, 0] = [AI_ZERO, DAI_ZERO, BI_ZERO, DBI_ZERO]
-    for i in range(n_steps):
-        nodes[:, i + 1] = _rk4_step(i * h, nodes[:, i], h)
-    return AiryPair(x_max=x_max, step=h, nodes=nodes)
+    ai_sq = float(special.airy(x_max)[0]) ** 2
+    if not (ai_sq > 0.0 and math.isfinite(1.0 / ai_sq)):
+        raise DomainError(f"x_max = c3^(2/3)*T = {x_max:g} is past the supported urgency "
+                          "range (x_max <= 65.398): 1/Ai(x_max)^2 overflows")
+    return AiryPair(x_max=x_max)

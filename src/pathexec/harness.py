@@ -402,6 +402,14 @@ def _build_model(kv: dict[str, str]) -> pricemodels.PriceModel:
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     get = lambda key, dflt=None: kv.get(f"model.{key}", dflt)
+
+    def level(key: str) -> float:
+        # a level becomes a callable that no model field check can see
+        value = float(get(key, "100.0"))
+        if not math.isfinite(value):
+            raise ConfigError(f"model.{key} must be finite, got {value}")
+        return value
+
     try:
         if kind == "arithmetic-bm":
             return pricemodels.ArithmeticBrownian(
@@ -417,17 +425,16 @@ def _build_model(kv: dict[str, str]) -> pricemodels.PriceModel:
                 maturity=float(get("maturity", kv.get("params.horizon", "1.0"))),
             )
         if kind == "ou-jump-diffusion":
-            level = math.log(float(get("target_price", get("s0", "100.0"))))
+            log_level = math.log(level("target_price" if "model.target_price" in kv else "s0"))
             return pricemodels.OuJumpDiffusion(
-                m=lambda t, lv=level: np.full_like(np.asarray(t, dtype=float), lv),
+                m=lambda t, lv=log_level: np.full_like(np.asarray(t, dtype=float), lv),
                 alpha=float(get("alpha", "5.0")),
                 sigma=float(get("sigma", "0.02")),
                 lam=float(get("lambda", "0.0")),
                 mark_sampler=pricemodels.two_point_marks(float(get("jump_size", "0.01"))),
             )
-        level = float(get("s0", "100.0"))
         return pricemodels.DeterministicPrice(
-            fn=lambda t, lv=level: np.full_like(np.asarray(t, dtype=float), lv))
+            fn=lambda t, lv=level("s0"): np.full_like(np.asarray(t, dtype=float), lv))
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"bad model parameters: {exc}") from exc
 

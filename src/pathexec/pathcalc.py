@@ -24,16 +24,13 @@ from .errors import DomainError, GridMismatchError
 __all__ = [
     "TimeGrid",
     "SampledPath",
-    "ControlFunction",
     "trapezoid",
     "cumulative_trapezoid",
     "cumulative_young",
     "young_integral",
     "stieltjes_integral",
     "p_variation",
-    "convolve_kernel",
     "resample",
-    "variation_control",
 ]
 
 # Exact sub-partition search is O(n^2); beyond this many points fall back to
@@ -213,16 +210,6 @@ def p_variation(path: SampledPath, p: float, method: str = "auto") -> float:
     return float(best[-1] ** (1.0 / p))
 
 
-def convolve_kernel(path: SampledPath, kernel: Callable[[np.ndarray], np.ndarray], t: float) -> float:
-    """Trapezoid value of ``int_0^t kernel(t-u) path(u) du`` with ``t`` on grid."""
-    j = path.grid.index_of(t)
-    u = path.grid.times[: j + 1]
-    if u.size < 2:
-        return 0.0
-    w = np.asarray(kernel(t - u), dtype=float)
-    return trapezoid(w * path.values[: j + 1], u)
-
-
 def resample(path: SampledPath, grid: TimeGrid, kind: str = "previous") -> SampledPath:
     """Move a path onto another grid.
 
@@ -241,54 +228,3 @@ def resample(path: SampledPath, grid: TimeGrid, kind: str = "previous") -> Sampl
         raise DomainError(f"unknown resampling kind {kind!r}")
     return SampledPath(grid, vnew)
 
-
-@dataclass(frozen=True)
-class ControlFunction:
-    """Super-additive two-parameter function, null on the diagonal.
-
-    Controls bound increments of rough paths; super-additivity
-    ``f(s,u) + f(u,t) <= f(s,t)`` is what makes left-point sums of products
-    of small increments vanish under refinement.
-    """
-
-    evaluator: Callable[[float, float], float]
-
-    def __call__(self, s: float, t: float) -> float:
-        if t < s:
-            raise DomainError("need s <= t")
-        if t == s:
-            return 0.0
-        v = float(self.evaluator(s, t))
-        if v < 0.0:
-            raise DomainError("control functions are non-negative")
-        return v
-
-    def check_superadditive(self, triples: np.ndarray, rtol: float = 1e-12) -> bool:
-        """True if f(s,u)+f(u,t) <= f(s,t)(1+rtol) on every (s,u,t) triple."""
-        for s, u, t in triples:
-            lhs = self(s, u) + self(u, t)
-            rhs = self(s, t)
-            if lhs > rhs + rtol * (1.0 + abs(rhs)):
-                return False
-        return True
-
-
-def variation_control(path: SampledPath, p: float = 1.0) -> ControlFunction:
-    """Control built from the full-grid p-variation sum on sub-intervals.
-
-    Grid points strictly inside ``[s, t]`` contribute their increments; an
-    off-grid split point drops the straddling increment, which keeps the
-    function genuinely super-additive rather than merely additive.
-    """
-    if p < 1.0:
-        raise DomainError("need p >= 1")
-    times, vals = path.grid.times, path.values
-
-    def ev(s: float, t: float) -> float:
-        i = int(np.searchsorted(times, s, side="left"))
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        if j - i < 1:
-            return 0.0
-        return float(np.sum(np.abs(np.diff(vals[i : j + 1])) ** p))
-
-    return ControlFunction(ev)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from pathexec import DomainError, airy_pair
 
@@ -73,6 +74,34 @@ def test_rescaled_wronskian_carries_chain_rule_factor():
     t = np.array([0.0, 0.5, 1.0])
     w_t = PAIR.ai(s * t) * s * PAIR.dbi(s * t) - s * PAIR.dai(s * t) * PAIR.bi(s * t)
     assert np.allclose(w_t, s / math.pi, atol=1e-10)
+
+
+@pytest.mark.parametrize("c3", [20.0, 30.0])
+def test_high_urgency_matches_bessel_identities(c3):
+    # T = 1, so x_max = c3^(2/3).  Criterion 9's ODE-residual and Wronskian
+    # checks come first: they hold for any Ai + eps Bi, the error that forward
+    # integration of the decaying solution produces, so alone they do not
+    # catch a wrong Ai.  The Bessel identities and the sign of Ai do.
+    pair = airy_pair(c3 ** (2.0 / 3.0), tol=1e-9)
+    xs = np.linspace(0.5, pair.x_max, 200)
+    assert np.all(pair.ode_residual(xs) <= 1e-8 * (1.0 + np.abs(pair.bi(xs))))
+    w = pair.wronskian(np.linspace(0.0, pair.x_max, 64))
+    assert np.max(np.abs(w - 1.0 / math.pi)) <= 1e-8
+    zeta = 2.0 / 3.0 * xs**1.5
+    ai_ref = np.sqrt(xs / 3.0) * special.kv(1.0 / 3.0, zeta) / math.pi
+    dai_ref = -xs * special.kv(2.0 / 3.0, zeta) / (math.pi * math.sqrt(3.0))
+    assert np.allclose(pair.ai(xs), ai_ref, rtol=1e-10, atol=0.0)
+    assert np.allclose(pair.dai(xs), dai_ref, rtol=1e-10, atol=0.0)
+    assert np.all(pair.ai(xs) > 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_urgency_past_representable_range_is_a_domain_error():
+    # 1/Ai(x_max)^2 overflows from x_max ~ 65.398, i.e. c3 ~ 528.87 at T = 1
+    airy_pair(65.39)
+    for x_max in (65.41, 600.0 ** (2.0 / 3.0), math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"x_max = c3\^\(2/3\)\*T"):
+            airy_pair(x_max)
 
 
 def test_domain_and_tolerance_validation():

@@ -89,6 +89,35 @@ def test_non_finite_model_parameter_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model, key, value", [
+    ("ou-jump-diffusion", "model.target_price", "nan"),
+    ("ou-jump-diffusion", "model.s0", "nan"),
+    ("ou-jump-diffusion", "model.target_price", "inf"),
+    ("deterministic", "model.s0", "nan"),
+])
+def test_non_finite_model_level_exit_code(tmp_path, capsys, model, key, value):
+    # the level becomes a callable, so it is checked when the config is read
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(CONFIG.replace("model = arithmetic-bm", f"model = {model}")
+                   .replace("model.s0 = 100.0", f"{key} = {value}"))
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(str(bad))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_urgency_past_airy_range_exit_code(tmp_path, capsys):
+    # c3 = risk_aversion / impact = 600 at T = 1: past the Airy basis' range
+    bad = tmp_path / "urgent.cfg"
+    bad.write_text(CONFIG.replace("criterion = quadratic", "criterion = time")
+                   .replace("params.risk_aversion = 1.15", "params.risk_aversion = 810")
+                   .replace("good-quadratic-closed", "good-time-closed"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "x_max = c3^(2/3)*T" in capsys.readouterr().err
+
+
 def test_io_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
 

@@ -12,11 +12,9 @@ from pathexec import (
     GridMismatchError,
     SampledPath,
     TimeGrid,
-    convolve_kernel,
     p_variation,
     resample,
     stieltjes_integral,
-    variation_control,
     young_integral,
 )
 from pathexec.pathcalc import cumulative_young
@@ -185,17 +183,6 @@ def test_p_variation_monotone_in_p(brownian_path):
     assert p_variation(small, 2.0, method="exact") >= p_variation(small, 2.0, method="lower")
 
 
-def test_convolve_kernel_examples():
-    g = TimeGrid.uniform(1.0, 2**16)
-    zero = SampledPath.constant(g, 0.0)
-    assert convolve_kernel(zero, lambda u: np.cosh(u), 1.0) == 0.0
-    one = SampledPath.constant(g, 1.0)
-    assert convolve_kernel(one, lambda u: np.ones_like(u), 1.0) == pytest.approx(1.0, abs=1e-10)
-    c3 = 0.85185
-    got = convolve_kernel(one, lambda u: np.cosh(c3 * u), 1.0)
-    assert got == pytest.approx(math.sinh(c3) / c3, abs=1e-6)
-
-
 def test_resample_rules(grid):
     jumpy = SampledPath.from_function(grid, lambda t: np.where(t < 0.5, 1.0, 2.0))
     coarse = TimeGrid.uniform(1.0, 64)
@@ -203,15 +190,6 @@ def test_resample_rules(grid):
     assert set(np.unique(cadlag.values)) == {1.0, 2.0}  # the jump is not smoothed
     lin = resample(SampledPath.from_function(grid, lambda t: t), coarse, "linear")
     assert np.allclose(lin.values, coarse.times)
-
-
-def test_variation_control_superadditive(brownian_path):
-    ctrl = variation_control(brownian_path, p=1.0)
-    rng = np.random.default_rng(17)
-    raw = rng.uniform(0.0, 1.0, size=(1000, 3))
-    triples = np.sort(raw, axis=1)
-    assert ctrl.check_superadditive(triples)
-    assert ctrl(0.3, 0.3) == 0.0
 
 
 def test_cumulative_young_runs_the_young_integral(brownian_path):
