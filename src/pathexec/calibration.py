@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, EstimationError
 from .pathcalc import SampledPath, TimeGrid
@@ -147,6 +146,8 @@ def fit_ou(residual: SampledPath) -> OuFit:
         resid_sq = (y1 - decay * y0) ** 2
         s2 = float(np.mean(resid_sq / v))
         return 0.5 * float(np.sum(np.log(v))) + 0.5 * resid_sq.size * math.log(s2)
+
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(neg_profile_loglik, bounds=(-10.0, 15.0), method="bounded")
     alpha = math.exp(res.x)

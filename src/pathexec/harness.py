@@ -10,9 +10,11 @@ reduction: outputs are byte-stable across reruns.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -173,6 +175,19 @@ def trajectory_bundles(realized: SampledPath, expected: SampledPath,
             for price, q_good, q_apost, rate_good in zip(*rows)]
 
 
+@contextlib.contextmanager
+def _overflow_is_domain_error(params: MarketParams):
+    """Plans, costs and their aggregates grow like e^(c3 t), so at high urgency
+    they pass the largest double: stop with a DomainError naming c3*T instead
+    of warning and going on with inf."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"cost overflows a double at urgency c3*T = "
+                          f"{params.risk_ratio * params.horizon:.6g}") from exc
+
+
 def run_scenario(config: ScenarioConfig) -> RunArtifact:
     """Sample paths and evaluate every listed strategy with common random numbers.
 
@@ -191,8 +206,9 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
     if any(tag.startswith("good-time") for tag in tags):
         x_max = max(params.risk_ratio ** (2.0 / 3.0) * params.horizon, 1e-6)
         airy = airy_pair(x_max, tol=1e-9)
-    fixed = {tag: STRATEGIES[tag](params, None, expected, airy)
-             for tag in tags if tag in FIXED_STRATEGIES}
+    with _overflow_is_domain_error(params):
+        fixed = {tag: STRATEGIES[tag](params, None, expected, airy)
+                 for tag in tags if tag in FIXED_STRATEGIES}
 
     seeds = np.random.SeedSequence(config.seed).generate_state(config.paths, np.uint64)
     # per tag and block: cost, terminal error and xi (NaN off the good tags)
@@ -202,8 +218,9 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
         block = seeds[lo:lo + BLOCK_PATHS]
         realized = SampledPath(grid, np.stack(
             [pricemodels.sample_path(config.model, grid, int(s)).values for s in block]))
-        plans, cost = evaluate_block(config.criterion, params, realized, expected, tags,
-                                     airy, fixed)
+        with _overflow_is_domain_error(params):
+            plans, cost = evaluate_block(config.criterion, params, realized, expected, tags,
+                                         airy, fixed)
         for tag, tag_rows in rows.items():
             xi = plans[tag].certificate.xi if tag in GOOD_STRATEGIES else np.nan
             tag_rows.append(np.broadcast_arrays(
@@ -219,14 +236,15 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
         finite = xi[np.isfinite(xi)]
         xi_q = ({f"q{p}": float(np.quantile(finite, p / 100)) for p in (10, 50, 90)}
                 if finite.size else None)
-        stats.append(StrategyStats(
-            tag=tag,
-            mean_cost=float(c.mean()),
-            cost_stderr=float(c.std(ddof=1) / spread) if n > 1 else 0.0,
-            mean_terminal_error=float(e.mean()),
-            terminal_stderr=float(e.std(ddof=1) / spread) if n > 1 else 0.0,
-            xi_quantiles=xi_q,
-        ))
+        with _overflow_is_domain_error(params):
+            stats.append(StrategyStats(
+                tag=tag,
+                mean_cost=float(c.mean()),
+                cost_stderr=float(c.std(ddof=1) / spread) if n > 1 else 0.0,
+                mean_terminal_error=float(e.mean()),
+                terminal_stderr=float(e.std(ddof=1) / spread) if n > 1 else 0.0,
+                xi_quantiles=xi_q,
+            ))
     return RunArtifact(config=config, stats=stats, path_count=config.paths,
                        trajectories=bundles)
 
@@ -235,7 +253,8 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_time_price(path: str) -> calibration.MidPriceSeries:
+def _scan_time_price(path: str) -> calibration.MidPriceSeries:
+    """Line-by-line reader: the definition of the ``time,price`` format."""
     times: list[float] = []
     prices: list[float] = []
     last_t: Optional[float] = None
@@ -270,6 +289,48 @@ def _parse_time_price(path: str) -> calibration.MidPriceSeries:
     if len(times) < 2:
         raise CsvParseError("need at least two distinct timestamps")
     return calibration.MidPriceSeries(np.array(times), np.array(prices), source=path)
+
+
+def _is_header(line: str) -> bool:
+    """Whether ``_scan_time_price`` skips this first line as a header."""
+    fields = line.split(",")
+    if len(fields) < 2:
+        return False
+    try:
+        float(fields[0]), float(fields[1])
+    except ValueError:
+        return True
+    return False
+
+
+# np.loadtxt opens a path through numpy's DataSource, which decompresses these
+# suffixes; the scanner reads such files as plain text, so they go to it
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _parse_time_price(path: str) -> calibration.MidPriceSeries:
+    """Parse with numpy's C reader; any file it or the checks reject is
+    handed to ``_scan_time_price``, which raises the exact error (with its
+    line) or accepts what only Python's ``float`` reads."""
+    if os.path.splitext(path)[1] in _DECOMPRESSED_SUFFIXES:
+        return _scan_time_price(path)
+    with open(path, "r") as fh:
+        skip = int(_is_header(fh.readline()))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # no data rows
+            data = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
+                              ndmin=2, skiprows=skip)
+    except (ValueError, UserWarning):
+        return _scan_time_price(path)
+    t, p = data[:, 0], data[:, 1]
+    new = t[1:] != t[:-1]
+    if not (np.all(np.isfinite(data)) and np.all(p > 0) and np.all(t[1:] >= t[:-1])
+            and np.any(new)):
+        return _scan_time_price(path)
+    # a run of equal timestamps keeps its first time and its last price
+    return calibration.MidPriceSeries(t[np.append(True, new)], p[np.append(new, True)],
+                                      source=path)
 
 
 LOBSTER_PRICE_SCALE = 1e-4  # LOBSTER order book prices come in 1e-4 currency units
@@ -328,12 +389,9 @@ def ingest_csv(path: str, fmt: str = "time-price") -> calibration.MidPriceSeries
 # plot-data emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 TRAJECTORY_COLUMNS = ("t", "price", "expected_price", "q_static", "q_good",
                       "q_aposteriori", "rate_good")
+_ROW_FORMAT = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS)) + "\n"
 
 
 def emit_plotdata(artifact: RunArtifact, out: str) -> list[str]:
@@ -346,12 +404,12 @@ def emit_plotdata(artifact: RunArtifact, out: str) -> list[str]:
     written: list[str] = []
     for i, tb in enumerate(artifact.trajectories):
         fname = os.path.join(out, f"trajectory_{i:04d}.csv")
-        cols = (tb.times, tb.price, tb.expected, tb.q_static, tb.q_good,
-                tb.q_aposteriori, tb.rate_good)
+        values = np.column_stack((tb.times, tb.price, tb.expected, tb.q_static, tb.q_good,
+                                  tb.q_aposteriori, tb.rate_good))
+        # '%.17g' % x renders a float exactly as format(x, '.17g') does
         with open(fname, "w") as fh:
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_ROW_FORMAT * len(values) % tuple(values.ravel().tolist()))
         written.append(fname)
 
     summary = {

@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# Paths the jump diffusion samples together.  Each row draws from its own
+# streams, so results do not depend on it; it bounds a block's memory.
+SAMPLE_BLOCK = 256
+
+
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
@@ -150,44 +155,58 @@ class OuJumpDiffusion:
     def s0(self) -> float:
         return float(np.exp(self.m(np.zeros(1))[0]))
 
-    def _ou_factor(self, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
-        dt = np.diff(grid.times)
+    def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
+        """One path per seed, stacked; a row does not depend on the others.
+
+        Each path draws from its own two sub-streams, in seed order; only the
+        arithmetic after the draws runs on the whole block.
+        """
+        t = grid.times
+        dt = np.diff(t)
         decay = np.exp(-self.alpha * dt)
         if self.sigma > 0:
             std = self.sigma * np.sqrt((1.0 - decay**2) / (2.0 * self.alpha))
         else:
             std = np.zeros_like(dt)
-        shocks = std * rng.standard_normal(dt.size)
-        y = np.empty(len(grid))
-        y[0] = 0.0
+        shocks = np.empty((len(seeds), dt.size))
+        # per path with jumps: its row's offset in the flattened block, its
+        # sorted event times and its marks
+        offsets, events, marks = [], [], []
+        for row, seed in enumerate(seeds):
+            rng_diff, rng_jump = _streams(int(seed), 2)
+            rng_diff.standard_normal(out=shocks[row])
+            n_jumps = rng_jump.poisson(self.lam * grid.horizon) if self.lam > 0 else 0
+            if n_jumps:
+                offsets.append(np.full(n_jumps, row * t.size))
+                events.append(np.sort(rng_jump.uniform(0.0, grid.horizon, size=n_jumps)))
+                marks.append(self.mark_sampler(rng_jump, n_jumps))
+        shocks *= std
+
+        # Ornstein-Uhlenbeck factor, started at zero: the exact AR(1) recursion
+        y = np.zeros((len(seeds), t.size))
         if dt.size and np.ptp(dt) <= 1e-12 * dt[0]:
-            # uniform grid: the exact AR(1) recursion is a linear filter
+            # uniform grid: the recursion is a linear filter
             from scipy.signal import lfilter
 
-            y[1:] = lfilter([1.0], [1.0, -decay[0]], shocks)
+            y[:, 1:] = lfilter([1.0], [1.0, -decay[0]], shocks, axis=1)
         else:
             for i in range(dt.size):
-                y[i + 1] = y[i] * decay[i] + shocks[i]
-        return y
+                y[:, i + 1] = y[:, i] * decay[i] + shocks[:, i]
 
-    def _jump_factor(self, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
-        t = grid.times
-        n_jumps = rng.poisson(self.lam * grid.horizon) if self.lam > 0 else 0
-        n = np.zeros(len(grid))
-        if n_jumps == 0:
-            return n
-        event_times = np.sort(rng.uniform(0.0, grid.horizon, size=n_jumps))
-        marks = self.mark_sampler(rng, n_jumps)
-        # left snap: the jump lands on the largest grid point <= event time
-        idx = np.searchsorted(t, event_times, side="right") - 1
-        np.add.at(n, idx, marks)
-        return np.cumsum(n)
+        # compound Poisson factor; left snap: a jump lands on the largest
+        # grid point <= its event time
+        n = np.zeros_like(y)
+        if events:
+            idx = np.concatenate(offsets) + np.searchsorted(
+                t, np.concatenate(events), side="right") - 1
+            np.add.at(n.reshape(-1), idx, np.concatenate(marks))
+            np.cumsum(n, axis=1, out=n)
+        y += self.m(t)
+        y += n
+        return np.exp(y, out=y)
 
     def _sample(self, grid: TimeGrid, seed: int) -> np.ndarray:
-        rng_diff, rng_jump = _streams(seed, 2)
-        y = self._ou_factor(grid, rng_diff)
-        n = self._jump_factor(grid, rng_jump)
-        return np.exp(self.m(grid.times) + y + n)
+        return self._sample_block(grid, [seed])[0]
 
     def _mean(self, t: np.ndarray) -> np.ndarray:
         return np.exp(self.m(t))
@@ -200,8 +219,8 @@ class OuJumpDiffusion:
             raise DomainError("variance grid must start at 0")
         samples = np.empty((self.variance_mc_paths, t.size))
         seeds = np.random.SeedSequence(0x0FACADE).generate_state(self.variance_mc_paths, np.uint64)
-        for i in range(self.variance_mc_paths):
-            samples[i] = self._sample(grid, int(seeds[i]))
+        for lo in range(0, seeds.size, SAMPLE_BLOCK):
+            samples[lo:lo + SAMPLE_BLOCK] = self._sample_block(grid, seeds[lo:lo + SAMPLE_BLOCK])
         return samples.var(axis=0, ddof=1)
 
 

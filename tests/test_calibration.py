@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from pathexec import (
     fit_ou,
     two_point_marks,
 )
+import pathexec
 from pathexec.pricemodels import sample_path
 
 
@@ -154,3 +158,11 @@ def test_series_validation():
         MidPriceSeries(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
     with pytest.raises(DomainError):
         MidPriceSeries(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # fit_ou imports the optimizer when it needs it, so a cold import stays cheap
+    src = os.path.dirname(os.path.dirname(pathexec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, pathexec; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

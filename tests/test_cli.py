@@ -118,6 +118,17 @@ def test_urgency_past_airy_range_exit_code(tmp_path, capsys):
     assert "x_max = c3^(2/3)*T" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c3", [300.0, 528.0])
+def test_cost_overflow_at_high_urgency_exit_code(tmp_path, capsys, c3):
+    # inside the Airy basis' range, but the costs' squares pass the largest double
+    bad = tmp_path / "urgent.cfg"
+    bad.write_text(CONFIG.replace("criterion = quadratic", "criterion = time")
+                   .replace("params.risk_aversion = 1.15", f"params.risk_aversion = {1.35 * c3!r}")
+                   .replace("good-quadratic-closed, static, twap", "good-time-closed"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"c3*T = {c3:g}" in capsys.readouterr().err
+
+
 def test_io_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
 

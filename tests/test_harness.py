@@ -1,12 +1,18 @@
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathexec import ConfigError, CsvParseError, MarketParams
+from pathexec import ConfigError, CsvParseError, DomainError, MarketParams, harness
 from pathexec.harness import (
+    TRAJECTORY_COLUMNS,
     ScenarioConfig,
+    TrajectoryBundle,
     emit_plotdata,
     ingest_csv,
     load_config,
@@ -126,6 +132,34 @@ def test_emit_plotdata_and_byte_stability(tmp_path):
     assert "good-quadratic-closed" in summary["strategies"]
 
 
+def _reference_trajectory_csv(tb: TrajectoryBundle) -> str:
+    """Row-by-row writer of a trajectory file: the oracle for emit_plotdata."""
+    cols = (tb.times, tb.price, tb.expected, tb.q_static, tb.q_good,
+            tb.q_aposteriori, tb.rate_good)
+    rows = (",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
+    return ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(rows)
+
+
+def test_emit_plotdata_matches_row_writer(tmp_path):
+    config = basic_config(criterion="time", paths=3, dump_trajectories=True,
+                          strategy_tags=("good-time-closed", "static"))
+    artifact = run_scenario(config)
+    edge = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e308, 0.1, -1.0 / 3.0])
+    artifact.trajectories.append(TrajectoryBundle(
+        times=np.arange(7.0), price=edge, expected=-edge, q_static=edge[::-1],
+        q_good=np.nextafter(edge, np.inf), q_aposteriori=edge * 0.5, rate_good=-edge[::-1]))
+    files = emit_plotdata(artifact, str(tmp_path / "out"))
+    assert len(files) == len(artifact.trajectories) + 1
+    for tb, name in zip(artifact.trajectories, files):
+        with open(name, newline="") as fh:
+            assert fh.read() == _reference_trajectory_csv(tb)
+    with open(files[-2]) as fh:
+        price = [row.split(",")[1] for row in fh.read().splitlines()[1:]]
+    assert price == ["-0", "4.9406564584124654e-324", "1.0000000000000001e-05",
+                     "10000000000000000", "1e+308", "0.10000000000000001",
+                     "-0.33333333333333331"]
+
+
 def test_emit_plotdata_empty_artifact(tmp_path):
     config = basic_config(paths=2, dump_trajectories=False)
     files = emit_plotdata(run_scenario(config), str(tmp_path / "out"))
@@ -165,6 +199,78 @@ def test_ingest_rejects_bad_rows(tmp_path):
     f.write_text("")
     with pytest.raises(CsvParseError):
         ingest_csv(str(f))
+
+
+# name -> (file bytes, whether the bulk parse reads it without the scanner)
+VALID_TIME_PRICE = {
+    "header": (b"time,price\n0,100\n0.5,101.25\n1,99.5\n", True),
+    "no-header": (b"0,100\n1,101\n2,1e-3\n", True),
+    "empty-lines": (b"\n0,100\n\n\n1,101\n\n2,102\n", True),
+    "crlf": (b"time,price\r\n0,100\r\n1,101\r\n", True),
+    "extra-columns": (b"t,p,volume\n0,100,5\n1,101,6,x\n", True),
+    "duplicates": (b"-0.0,100\n0.0,101\n1,102\n1,103\n1,104\n2,105\n2,106\n", True),
+    "padded-fields": (b" 0 , 100 \n1,\t101\n", True),
+    "whitespace-only-line": (b"0,100\n   \n1,101\n", False),
+    "underscore-digits": (b"0,1_00\n1,101\n", False),
+}
+
+
+@pytest.mark.parametrize("name", VALID_TIME_PRICE)
+def test_ingest_bulk_parse_matches_line_scanner(tmp_path, name):
+    content, bulk = VALID_TIME_PRICE[name]
+    f = tmp_path / "px.csv"
+    f.write_bytes(content)
+    want = harness._scan_time_price(str(f))
+    with mock.patch.object(harness, "_scan_time_price", return_value=want) as scan:
+        got = ingest_csv(str(f))
+    assert scan.called != bulk
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert got.prices.tobytes() == want.prices.tobytes()
+    assert got.timestamps.flags.c_contiguous and got.prices.flags.c_contiguous
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("content, line", [
+    pytest.param("0,100\n1,-5\n", 2, id="non-positive"),
+    pytest.param("0,100\n1,0\n", 2, id="zero-price"),
+    pytest.param("0,100\n0.5\n", 2, id="short-row"),
+    pytest.param("1,100\n0,101\n", 2, id="decreasing"),
+    pytest.param("0,100\n1,nan\n", 2, id="nan"),
+    pytest.param("0,100\n1,inf\n2,101\n", 2, id="inf"),
+    pytest.param("time,price\n0,100\n1,abc\n", 3, id="non-numeric"),
+    pytest.param("0,100\n\n1,abc\n", 3, id="after-blank-line"),
+    pytest.param("0,100\n\n\n2,-1\n", 4, id="negative-after-blank-lines"),
+    pytest.param("0,100\n   \n1,abc\n", 3, id="after-whitespace-line"),
+    pytest.param("\ntime,price\n0,100\n", 2, id="header-not-on-line-1"),
+    pytest.param("5\n0,100\n1,101\n", 1, id="short-line-1"),
+    pytest.param("", None, id="empty"),
+    pytest.param("time,price\n", None, id="header-only"),
+    pytest.param("\n\n", None, id="blank-only"),
+    pytest.param("0,100\n0,101\n", None, id="one-timestamp"),
+])
+def test_ingest_errors_keep_their_line(tmp_path, content, line):
+    f = tmp_path / "bad.csv"
+    f.write_text(content)
+    with pytest.raises(CsvParseError) as exc:
+        ingest_csv(str(f))
+    assert exc.value.line == line
+
+
+_positive_doubles = st.floats(min_value=5e-324, allow_infinity=False, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_positive_doubles, min_size=2, max_size=40), st.sampled_from(["%r", "%.6g"]))
+def test_ingest_parses_doubles_like_float(prices, style):
+    text = "".join(f"{i},{style % p}\n" for i, p in enumerate(prices))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "px.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with mock.patch.object(harness, "_scan_time_price", side_effect=AssertionError):
+            series = ingest_csv(path)
+    want = np.array([float(style % p) for p in prices])
+    assert series.prices.tobytes() == want.tobytes()
 
 
 def test_ingest_lobster_pair(tmp_path):
@@ -244,3 +350,14 @@ def test_load_config_errors(tmp_path):
     cfg.write_text("no equals sign here\n")
     with pytest.raises(ConfigError):
         load_config(str(cfg))
+
+
+@pytest.mark.parametrize("c3", [300.0, 528.0])
+def test_cost_overflow_at_high_urgency_is_a_domain_error(c3):
+    # inside the Airy basis' range, but the costs' squares pass the largest double
+    config = basic_config(
+        criterion="time", strategy_tags=("good-time-closed",),
+        params=MarketParams(impact=1.35, risk_aversion=1.35 * c3,
+                            initial_inventory=1_000.0, horizon=1.0))
+    with pytest.raises(DomainError, match=rf"c3\*T = {c3:g}\b"):
+        run_scenario(config)

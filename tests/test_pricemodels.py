@@ -14,7 +14,7 @@ from pathexec import (
     p_variation,
     two_point_marks,
 )
-from pathexec.pricemodels import expected_path, sample_path, variance_path
+from pathexec.pricemodels import SAMPLE_BLOCK, expected_path, sample_path, variance_path
 
 GRID = TimeGrid.uniform(1.0, 128)
 
@@ -154,6 +154,59 @@ def test_ou_variance_path_is_mc_and_reproducible():
     v2 = variance_path(m, GRID).values
     assert np.array_equal(v1, v2)
     assert np.all(v1[1:] > 0.0)
+
+
+def _reference_ou_jump_path(model, grid, seed):
+    """The per-path jump-diffusion sampler, one seed at a time: the oracle
+    for the block sampler."""
+    rng_diff, rng_jump = (np.random.Generator(np.random.PCG64(c))
+                          for c in np.random.SeedSequence(seed).spawn(2))
+    t = grid.times
+    dt = np.diff(t)
+    decay = np.exp(-model.alpha * dt)
+    if model.sigma > 0:
+        std = model.sigma * np.sqrt((1.0 - decay**2) / (2.0 * model.alpha))
+    else:
+        std = np.zeros_like(dt)
+    shocks = std * rng_diff.standard_normal(dt.size)
+    y = np.zeros(t.size)
+    if np.ptp(dt) <= 1e-12 * dt[0]:
+        from scipy.signal import lfilter
+
+        y[1:] = lfilter([1.0], [1.0, -decay[0]], shocks)
+    else:
+        for i in range(dt.size):
+            y[i + 1] = y[i] * decay[i] + shocks[i]
+    n = np.zeros(t.size)
+    n_jumps = rng_jump.poisson(model.lam * grid.horizon) if model.lam > 0 else 0
+    if n_jumps:
+        event_times = np.sort(rng_jump.uniform(0.0, grid.horizon, size=n_jumps))
+        marks = model.mark_sampler(rng_jump, n_jumps)
+        np.add.at(n, np.searchsorted(t, event_times, side="right") - 1, marks)
+        n = np.cumsum(n)
+    return np.exp(model.m(t) + y + n)
+
+
+NON_UNIFORM = TimeGrid(np.concatenate(([0.0], np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90)),
+                                       [1.0])))
+
+
+@pytest.mark.parametrize("kw, grid", [
+    pytest.param(dict(variance_mc_paths=SAMPLE_BLOCK + 44), GRID, id="partial-block"),
+    pytest.param(dict(lam=0.0, variance_mc_paths=64), GRID, id="no-jumps"),
+    pytest.param(dict(sigma=0.0, variance_mc_paths=70), GRID, id="no-diffusion"),
+    pytest.param(dict(lam=200.0, variance_mc_paths=65), GRID, id="dense-jumps"),
+    pytest.param(dict(variance_mc_paths=100), NON_UNIFORM, id="non-uniform-grid"),
+])
+def test_ou_jump_block_sampler_matches_per_path_loop(kw, grid):
+    model = OuJumpDiffusion(**{**dict(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0,
+                                      mark_sampler=two_point_marks(0.02)), **kw})
+    seeds = np.random.SeedSequence(0x0FACADE).generate_state(model.variance_mc_paths, np.uint64)
+    samples = np.array([_reference_ou_jump_path(model, grid, int(s)) for s in seeds])
+    assert variance_path(model, grid).values.tobytes() == samples.var(axis=0, ddof=1).tobytes()
+    for seed in (0, 12, 2**63 + 5):
+        assert (sample_path(model, grid, seed).values.tobytes()
+                == _reference_ou_jump_path(model, grid, seed).tobytes())
 
 
 def test_deterministic_model():
