@@ -24,14 +24,11 @@ from .calibration import (
 )
 from .costs import (
     AuditReport,
-    CostReport,
     LiquidationStats,
     audit_good_inequality,
     cost_J,
-    cost_report,
     liquidation_stats,
     pathwise_f_weight,
-    tubular_member,
 )
 from .errors import (
     ConfigError,

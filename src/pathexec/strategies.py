@@ -282,20 +282,23 @@ def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
     return q.T, r.T
 
 
+def _euler_plan(params: MarketParams, realized: SampledPath, r0, drift,
+                criterion: str) -> ExecutionPlan:
+    """The ``good-{criterion}-ivp`` plan Euler-stepped from x0 and r0."""
+    q, r = _euler_ivp(realized.grid.times, realized.values, r0, params.initial_inventory,
+                      params.impact, drift)
+    return _plan(params, realized.grid, q, r, f"good-{criterion}-ivp", criterion,
+                 realized.values[..., -1])
+
+
 def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
                             expected: SampledPath) -> ExecutionPlan:
     """Euler-stepped quadratic schedule: dr = c3^2 (q - xT) dt - dS/(2 c1^2)."""
     _require_shared(realized, expected)
-    t = realized.grid.times
     c3sq = params.risk_ratio**2
     x_t = params.target_inventory
     r0 = _quadratic_r0(params, realized.values[..., 0], expected)
-    q, r = _euler_ivp(
-        t, realized.values, r0, params.initial_inventory, params.impact,
-        lambda tt, qq, ss: c3sq * (qq - x_t),
-    )
-    return _plan(params, realized.grid, q, r, "good-quadratic-ivp", "quadratic",
-                 realized.values[..., -1])
+    return _euler_plan(params, realized, r0, lambda tt, qq, ss: c3sq * (qq - x_t), "quadratic")
 
 
 def certificate_quadratic(params: MarketParams, realized: SampledPath,
@@ -409,12 +412,7 @@ def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
     e_b = (rhs1 * a[0] - params.initial_inventory * a[-1]) / det
     r0 = e_a * da[0] + e_b * db[0]
     c3sq = params.risk_ratio**2
-    q, r = _euler_ivp(
-        t, realized.values, r0, params.initial_inventory, params.impact,
-        lambda tt, qq, ss: c3sq * tt * qq,
-    )
-    return _plan(params, realized.grid, q, r, "good-time-ivp", "time",
-                 realized.values[..., -1])
+    return _euler_plan(params, realized, r0, lambda tt, qq, ss: c3sq * tt * qq, "time")
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +459,14 @@ def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
     _require_shared(realized, expected)
     t = realized.grid.times
     T = params.horizon
-    c1 = params.impact
-    half_impact = 2.0 * c1**2
+    half_impact = 2.0 * params.impact**2
     s0 = _col(realized.values[..., 0])
     inner_e = cumulative_trapezoid(expected.values, t)
     r0 = (params.target_inventory - params.initial_inventory) / T + trapezoid(
         expected.values - s0 - params.risk_aversion**2 * inner_e, t
     ) / (half_impact * T)
     half_c3sq = 0.5 * params.risk_ratio**2
-    q, r = _euler_ivp(
-        t, realized.values, r0, params.initial_inventory, c1,
-        lambda tt, qq, ss: half_c3sq * ss,
-    )
-    return _plan(params, realized.grid, q, r, "good-var-ivp", "var",
-                 realized.values[..., -1])
+    return _euler_plan(params, realized, r0, lambda tt, qq, ss: half_c3sq * ss, "var")
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,34 @@ def test_cost_overflow_at_high_urgency_exit_code(tmp_path, capsys, c3):
     assert f"c3*T = {c3:g}" in capsys.readouterr().err
 
 
+def _history_csv(path):
+    """A 2001-row random-walk price history on [0, 1]."""
+    rng = np.random.default_rng(8)
+    t = np.linspace(0.0, 1.0, 2_001)
+    prices = 100.0 + np.cumsum(0.02 * rng.standard_normal(t.size))
+    path.write_text("\n".join(f"{ti},{pi}" for ti, pi in zip(t, prices)) + "\n")
+    return str(path)
+
+
+def test_backtest_overflow_at_high_urgency_exit_code(tmp_path, capsys):
+    # c3*T = 1000/1.35: the replayed schedules pass the largest double
+    bad = tmp_path / "urgent.cfg"
+    bad.write_text(CONFIG.replace("criterion = quadratic", "criterion = time")
+                   .replace("params.risk_aversion = 1.15", "params.risk_aversion = 1000"))
+    csv = _history_csv(tmp_path / "hist.csv")
+    assert main(["backtest", csv, "--config", str(bad), "--out", str(tmp_path / "bt")]) == 2
+    assert capsys.readouterr().err == "error: cost overflows a double at urgency c3*T = 740.741\n"
+
+
+@pytest.mark.parametrize("fmt", ["time-price", "lobster-mid"])
+def test_non_utf8_input_exit_code(tmp_path, capsys, fmt):
+    msg = tmp_path / "X_message_1.csv"
+    msg.write_bytes(b"0,100\n1,101\n2,1\xff02\n")
+    (tmp_path / "X_orderbook_1.csv").write_text("1000100,10,1000000,12\n" * 3)
+    assert main(["calibrate", str(msg), "--format", fmt]) == 2
+    assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+
+
 def test_io_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 3
 
@@ -153,13 +181,9 @@ def test_calibrate_verb(tmp_path, capsys):
 
 
 def test_backtest_verb(config_file, tmp_path, capsys):
-    rng = np.random.default_rng(8)
-    t = np.linspace(0.0, 1.0, 2_001)
-    prices = 100.0 + np.cumsum(0.02 * rng.standard_normal(t.size))
-    f = tmp_path / "hist.csv"
-    f.write_text("\n".join(f"{ti},{pi}" for ti, pi in zip(t, prices)) + "\n")
+    f = _history_csv(tmp_path / "hist.csv")
     out = tmp_path / "bt"
-    code = main(["backtest", str(f), "--config", config_file, "--out", str(out)])
+    code = main(["backtest", f, "--config", config_file, "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "aposteriori" in text

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathexec import ConfigError, CsvParseError, DomainError, MarketParams, harness
+from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, costs, harness,
+                      strategies)
 from pathexec.harness import (
     TRAJECTORY_COLUMNS,
     ScenarioConfig,
@@ -74,6 +76,17 @@ def test_run_scenario_all_strategy_tags():
     assert {s.tag for s in artifact.stats} == set(config.strategy_tags)
     good = artifact.stats_for("good-quadratic-closed")
     assert good.xi_quantiles is not None and good.xi_quantiles["q10"] > 0
+
+
+@pytest.mark.parametrize("name", [f"good_exec_{criterion}_{kind}" for criterion in costs.CRITERIA
+                                  for kind in ("closed", "ivp")])
+def test_run_scenario_looks_good_exec_up_on_strategies_module(monkeypatch, name):
+    # a benchmark tracer wraps these module attributes in place; it must see every call
+    real, calls = getattr(strategies, name), []
+    monkeypatch.setattr(strategies, name, lambda *args: calls.append(1) or real(*args))
+    tag = "good-" + name.removeprefix("good_exec_").replace("_", "-")
+    run_scenario(basic_config(strategy_tags=(tag,), paths=3))
+    assert calls == [1]  # one block of three paths
 
 
 def test_closed_vs_ivp_inside_harness():
@@ -247,12 +260,38 @@ def test_ingest_bulk_parse_matches_line_scanner(tmp_path, name):
     pytest.param("time,price\n", None, id="header-only"),
     pytest.param("\n\n", None, id="blank-only"),
     pytest.param("0,100\n0,101\n", None, id="one-timestamp"),
+    # the first bad line wins, whatever rule it breaks
+    pytest.param("1,100\n0,101\nabc,1\n", 2, id="decreasing-before-non-numeric"),
+    pytest.param("0,100\n1,-5\n2\n", 2, id="non-positive-before-short-row"),
+    pytest.param(b"time,pr\xffice\n0,100\n1,101\n", 1, id="non-utf8-header"),
+    pytest.param(b"0,100\n1,10\xff1\n2,102\n", 2, id="non-utf8-row"),
+    pytest.param(b"0,100\n1,101,\xff\n2,102\n", 2, id="non-utf8-ignored-field"),
+    pytest.param(b"0,100\n1,nan\n2,\xff\n", 2, id="nan-before-non-utf8"),
+    # lobster message/orderbook pairs
+    pytest.param(("1,1\n2,1\n", "1000100,10,1000000,12\n-1000200,10,-1000100,12\n"), 2,
+                 id="lobster-non-positive-mid"),
+    pytest.param(("2,1\n1,1\n", "1000100,10,1000000,12\n1000200,10,1000100,12\n"), 2,
+                 id="lobster-decreasing"),
+    pytest.param(("1,1\n2,1\n", "1000100,10,1000000,12\nnan,10,1000100,12\n"), 2,
+                 id="lobster-nan-mid"),
+    pytest.param(("1,1\n2,1\nx,1\n", "1000100,10,1000000,12\n1,10,-5,12\n1,1,1,1\n"), 2,
+                 id="lobster-non-positive-before-non-numeric"),
+    pytest.param((b"1,1\n2\xff,1\n", b"1000100,10,1000000,12\n1000200,10,1000100,12\n"), 2,
+                 id="lobster-non-utf8-message"),
+    pytest.param(("1,1\n1,1\n", "1000100,10,1000000,12\n" * 2), None,
+                 id="lobster-one-timestamp"),
 ])
 def test_ingest_errors_keep_their_line(tmp_path, content, line):
-    f = tmp_path / "bad.csv"
-    f.write_text(content)
+    encode = lambda text: text if isinstance(text, bytes) else text.encode()
+    if isinstance(content, tuple):  # a lobster message/orderbook pair
+        f, fmt = tmp_path / "X_message_1.csv", "lobster-mid"
+        (tmp_path / "X_orderbook_1.csv").write_bytes(encode(content[1]))
+        content = content[0]
+    else:
+        f, fmt = tmp_path / "bad.csv", "time-price"
+    f.write_bytes(encode(content))
     with pytest.raises(CsvParseError) as exc:
-        ingest_csv(str(f))
+        ingest_csv(str(f), fmt)
     assert exc.value.line == line
 
 
@@ -271,6 +310,20 @@ def test_ingest_parses_doubles_like_float(prices, style):
             series = ingest_csv(path)
     want = np.array([float(style % p) for p in prices])
     assert series.prices.tobytes() == want.tobytes()
+
+
+def test_ingest_error_messages_keep_their_values(tmp_path):
+    f = tmp_path / "bad.csv"
+    for content, message in [
+            (b"0,1\n1,2\n2,3\n4,4\n5,5\n6,6\n3.5,7\n", "line 7: timestamp 3.5 decreases"),
+            (b"0,100\n1,-5\n", "line 2: non-positive price -5.0"),
+            (b"0,100\n1,inf\n", "line 2: non-finite value"),
+            (b"0,100\n1,abc\n", "line 2: non-numeric row '1,abc'"),
+            (b"t,p\xfe\n0,100\n", "line 1: byte 0xfe is not UTF-8"),
+            (b"", "empty file")]:
+        f.write_bytes(content)
+        with pytest.raises(CsvParseError, match=rf"^{re.escape(message)}$"):
+            ingest_csv(str(f))
 
 
 def test_ingest_lobster_pair(tmp_path):

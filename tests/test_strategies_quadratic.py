@@ -230,18 +230,6 @@ def test_plan_rate_consistency(fig2_params, grid, brownian_path):
     assert plan.max_rate_consistency_gap() <= 5.0 * math.sqrt(grid.mesh)
 
 
-def test_cost_report_bundle(fig2_params, grid, brownian_path):
-    from pathexec.costs import cost_report
-
-    expected = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
-    plan = good_exec_quadratic_closed(fig2_params, brownian_path, expected)
-    report = cost_report("quadratic", fig2_params, brownian_path, plan)
-    assert report.criterion_tag == "quadratic"
-    assert report.f_weight >= 0.0
-    assert report.liq_error == plan.terminal
-    assert math.isfinite(report.j_value)
-
-
 def test_unbiasedness_small_monte_carlo(fig2_params):
     g = TimeGrid.uniform(1.0, 256)
     model = ArithmeticBrownian(100.0, 5.0)
