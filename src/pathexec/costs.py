@@ -220,16 +220,16 @@ class LiquidationStats:
 def liquidation_stats(plans: Sequence[ExecutionPlan], x_target: float,
                       params: Optional[MarketParams] = None,
                       variance: Optional[SampledPath] = None) -> LiquidationStats:
-    """Mean/variance of liquidation errors across Monte Carlo schedules.
+    """Mean/variance of liquidation errors across Monte Carlo plans or blocks.
 
     Given market parameters and the model's variance path, also evaluates the
     dispersion bound  Var(q_T) <= (T / 4 c1^4) int cosh^2(c3 (T-t)) Var(S_t) dt
     for the quadratic criterion.
     """
-    if len(plans) < 2:
-        raise DomainError("need at least two plans for sample statistics")
-    errors = np.array([p.terminal - x_target for p in plans])
+    errors = np.concatenate([np.zeros(0), *(np.ravel(p.terminal) for p in plans)]) - x_target
     n = errors.size
+    if n < 2:
+        raise DomainError("need at least two paths for sample statistics")
     mean = float(errors.mean())
     stderr = float(errors.std(ddof=1) / math.sqrt(n))
     var = float(errors.var(ddof=1))

@@ -11,6 +11,7 @@ reduction: outputs are byte-stable across reruns.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -65,15 +66,6 @@ STRATEGIES = {
 FIXED_STRATEGIES = ("static", "terminal-penalty", "twap")
 ALL_STRATEGIES = tuple(STRATEGIES)
 GOOD_STRATEGIES = tuple(tag for tag in STRATEGIES if tag.startswith("good-"))
-
-MODEL_KINDS = (
-    "arithmetic-bm",
-    "exponential-martingale",
-    "ou-jump-diffusion",
-    "brownian-bridge",
-    "deterministic",
-)
-
 
 @dataclass
 class ScenarioConfig:
@@ -192,8 +184,9 @@ def _overflow_is_domain_error(params: MarketParams):
 def run_scenario(config: ScenarioConfig) -> RunArtifact:
     """Sample paths and evaluate every listed strategy with common random numbers.
 
-    Paths are sampled one seed each and evaluated in blocks of BLOCK_PATHS;
-    only per-path scalars (and dumped panels) outlive a block.
+    Each block of BLOCK_PATHS paths, one seed each, is sampled in one call
+    and evaluated together; only per-path scalars (and dumped panels) outlive
+    a block.
     """
     config.validate()
     grid = config.grid()
@@ -216,9 +209,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
     rows: dict[str, list] = {tag: [] for tag in config.strategy_tags}
     bundles: list[TrajectoryBundle] = []
     for lo in range(0, config.paths, BLOCK_PATHS):
-        block = seeds[lo:lo + BLOCK_PATHS]
-        realized = SampledPath(grid, np.stack(
-            [pricemodels.sample_path(config.model, grid, int(s)).values for s in block]))
+        realized = pricemodels.sample_path(config.model, grid, seeds[lo:lo + BLOCK_PATHS])
         with _overflow_is_domain_error(params):
             plans, cost = evaluate_block(config.criterion, params, realized, expected, tags,
                                          airy, fixed)
@@ -349,8 +340,12 @@ LOBSTER_PRICE_SCALE = 1e-4  # LOBSTER order book prices come in 1e-4 currency un
 
 
 def _lobster_rows(message_path: str, book_path: str):
-    for (lineno, mrow), (_, brow) in zip(_numbered_lines(message_path),
-                                         _numbered_lines(book_path)):
+    for message, book in itertools.zip_longest(_numbered_lines(message_path),
+                                               _numbered_lines(book_path)):
+        if message is None or book is None:
+            raise CsvParseError("message and orderbook files differ in length",
+                                line=(message or book)[0])
+        (lineno, mrow), (_, brow) = message, book
         bparts = brow.split(",")
         if len(bparts) < 3:
             raise CsvParseError("orderbook row needs ask,asksize,bid,...", line=lineno)
@@ -455,8 +450,6 @@ def _parse_kv(path: str) -> dict[str, str]:
 
 def _build_model(kv: dict[str, str]) -> pricemodels.PriceModel:
     kind = kv.get("model", "arithmetic-bm")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
     get = lambda key, dflt=None: kv.get(f"model.{key}", dflt)
 
     def level(key: str) -> float:
@@ -489,10 +482,12 @@ def _build_model(kv: dict[str, str]) -> pricemodels.PriceModel:
                 lam=float(get("lambda", "0.0")),
                 mark_sampler=pricemodels.two_point_marks(float(get("jump_size", "0.01"))),
             )
-        return pricemodels.DeterministicPrice(
-            fn=lambda t, lv=level("s0"): np.full_like(np.asarray(t, dtype=float), lv))
+        if kind == "deterministic":
+            return pricemodels.DeterministicPrice(
+                fn=lambda t, lv=level("s0"): np.full_like(np.asarray(t, dtype=float), lv))
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"bad model parameters: {exc}") from exc
+    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def load_config(path: str) -> ScenarioConfig:

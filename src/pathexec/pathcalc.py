@@ -146,9 +146,6 @@ class SampledPath:
     def constant(cls, grid: TimeGrid, level: float) -> "SampledPath":
         return cls(grid, np.full(len(grid), float(level)))
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
     def __len__(self) -> int:
         return self.values.shape[-1]
 

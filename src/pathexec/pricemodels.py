@@ -1,13 +1,15 @@
 """Price-process samplers and their deterministic moment functions.
 
-Each model provides one realization per (grid, seed), the expected path
-``t -> E[S_t]`` and the variance path ``t -> Var(S_t)``.  Sampling uses exact
-Gaussian transition laws wherever they exist (no Euler stepping of SDEs), so
-the only discretization left in the system is the grid itself.
+Each model has one block sampler, with one realization per seed in a
+``(paths, N)`` block (a single seed is the one-path case), plus the expected
+path ``t -> E[S_t]`` and the variance path ``t -> Var(S_t)``.  Sampling uses
+exact Gaussian transition laws (no Euler stepping of SDEs), so the only
+discretization left in the system is the grid itself.
 
-Seed contract: a single 64-bit seed; the diffusion and jump components draw
-from sub-streams split off that seed in a fixed order, so toggling jumps on
-or off never perturbs the diffusion draw.
+Seed contract: one 64-bit seed per path, drawn in seed order; the diffusion
+and jump components draw from sub-streams split off that seed in a fixed
+order, so toggling jumps on or off never perturbs the diffusion draw, and a
+block row equals its one-seed path bit for bit.
 """
 
 from __future__ import annotations
@@ -35,14 +37,24 @@ __all__ = [
 ]
 
 
-# Paths the jump diffusion samples together.  Each row draws from its own
-# streams, so results do not depend on it; it bounds a block's memory.
+# Paths the jump-diffusion variance samples together.  Each row draws from its
+# own streams, so results do not depend on it; it bounds a block's memory.
 SAMPLE_BLOCK = 256
 
 
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
+
+
+def _brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
+    """W on the grid, one row per seed, each drawn from its seed's first sub-stream."""
+    w = np.zeros((len(seeds), len(grid)))
+    for row, seed in enumerate(seeds):
+        _streams(int(seed), 1)[0].standard_normal(out=w[row, 1:])
+    w[:, 1:] *= np.sqrt(np.diff(grid.times))
+    np.cumsum(w[:, 1:], axis=1, out=w[:, 1:])
+    return w
 
 
 def _require_finite(model, *fields: str) -> None:
@@ -69,18 +81,14 @@ class ArithmeticBrownian:
 
     s0: float
     sigma: float
-    kind = "arithmetic-bm"
 
     def __post_init__(self):
         _require_finite(self, "s0", "sigma")
         if self.sigma < 0:
             raise DomainError("volatility must be >= 0")
 
-    def _sample(self, grid: TimeGrid, seed: int) -> np.ndarray:
-        (rng,) = _streams(seed, 1)
-        dt = np.diff(grid.times)
-        w = np.concatenate(([0.0], np.cumsum(rng.standard_normal(dt.size) * np.sqrt(dt))))
-        return self.s0 + self.sigma * w
+    def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
+        return self.s0 + self.sigma * _brownian_block(grid, seeds)
 
     def _mean(self, t: np.ndarray) -> np.ndarray:
         return np.full_like(t, self.s0)
@@ -95,19 +103,15 @@ class ExponentialMartingale:
 
     s0: float
     sigma: float
-    kind = "exponential-martingale"
 
     def __post_init__(self):
         _require_finite(self, "s0", "sigma")
         if self.sigma < 0:
             raise DomainError("volatility must be >= 0")
 
-    def _sample(self, grid: TimeGrid, seed: int) -> np.ndarray:
-        (rng,) = _streams(seed, 1)
-        t = grid.times
-        dt = np.diff(t)
-        w = np.concatenate(([0.0], np.cumsum(rng.standard_normal(dt.size) * np.sqrt(dt))))
-        return self.s0 * np.exp(self.sigma * w - 0.5 * self.sigma**2 * t)
+    def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
+        w = _brownian_block(grid, seeds)
+        return self.s0 * np.exp(self.sigma * w - 0.5 * self.sigma**2 * grid.times)
 
     def _mean(self, t: np.ndarray) -> np.ndarray:
         return np.full_like(t, self.s0)
@@ -140,7 +144,6 @@ class OuJumpDiffusion:
         default_factory=lambda: two_point_marks(0.01)
     )
     variance_mc_paths: int = 4096
-    kind = "ou-jump-diffusion"
 
     def __post_init__(self):
         _require_finite(self, "alpha", "sigma", "lam")
@@ -156,11 +159,7 @@ class OuJumpDiffusion:
         return float(np.exp(self.m(np.zeros(1))[0]))
 
     def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
-        """One path per seed, stacked; a row does not depend on the others.
-
-        Each path draws from its own two sub-streams, in seed order; only the
-        arithmetic after the draws runs on the whole block.
-        """
+        """Each path draws from its own two sub-streams: diffusion, then jumps."""
         t = grid.times
         dt = np.diff(t)
         decay = np.exp(-self.alpha * dt)
@@ -205,23 +204,21 @@ class OuJumpDiffusion:
         y += n
         return np.exp(y, out=y)
 
-    def _sample(self, grid: TimeGrid, seed: int) -> np.ndarray:
-        return self._sample_block(grid, [seed])[0]
-
     def _mean(self, t: np.ndarray) -> np.ndarray:
         return np.exp(self.m(t))
 
     def _variance(self, t: np.ndarray) -> np.ndarray:
         # no closed form once jumps and the exponential interact: Monte Carlo
         # with a fixed internal sub-stream, so the estimate is reproducible
-        grid = TimeGrid(t) if t[0] == 0.0 else None
-        if grid is None:
-            raise DomainError("variance grid must start at 0")
-        samples = np.empty((self.variance_mc_paths, t.size))
-        seeds = np.random.SeedSequence(0x0FACADE).generate_state(self.variance_mc_paths, np.uint64)
-        for lo in range(0, seeds.size, SAMPLE_BLOCK):
+        grid, n = TimeGrid(t), self.variance_mc_paths
+        samples = np.empty((n, t.size))
+        seeds = np.random.SeedSequence(0x0FACADE).generate_state(n, np.uint64)
+        for lo in range(0, n, SAMPLE_BLOCK):
             samples[lo:lo + SAMPLE_BLOCK] = self._sample_block(grid, seeds[lo:lo + SAMPLE_BLOCK])
-        return samples.var(axis=0, ddof=1)
+        # samples.var(axis=0, ddof=1), in place: no second block-sized temporary
+        samples -= samples.sum(axis=0) / n
+        samples *= samples
+        return samples.sum(axis=0) / (n - 1)
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,6 @@ class BrownianBridge:
     face_value: float
     sigma: float
     maturity: float
-    kind = "brownian-bridge"
 
     def __post_init__(self):
         _require_finite(self, "s0", "face_value", "sigma", "maturity")
@@ -251,19 +247,19 @@ class BrownianBridge:
         if grid.horizon > self.maturity:
             raise DomainError("grid extends beyond the bridge maturity")
 
-    def _sample(self, grid: TimeGrid, seed: int) -> np.ndarray:
+    def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
         self._check_grid(grid)
-        (rng,) = _streams(seed, 1)
         t = grid.times
-        s = np.empty(len(grid))
-        s[0] = self.s0
-        z = rng.standard_normal(len(grid) - 1)
-        for i in range(len(grid) - 1):
-            gap = self.maturity - t[i]
-            dt = t[i + 1] - t[i]
-            mean = s[i] + dt / gap * (self.face_value - s[i])
-            var = self.sigma**2 * dt * (self.maturity - t[i + 1]) / gap
-            s[i + 1] = mean + math.sqrt(max(var, 0.0)) * z[i]
+        gap, dt = self.maturity - t[:-1], np.diff(t)
+        s = np.empty((len(seeds), len(grid)))
+        s[:, 0] = self.s0
+        for row, seed in enumerate(seeds):
+            _streams(int(seed), 1)[0].standard_normal(out=s[row, 1:])
+        # exact transition from t_i to t_(i+1): the conditional noise, plus a
+        # dt/gap share of the way from S_i to the face value
+        s[:, 1:] *= np.sqrt(np.maximum(self.sigma**2 * dt * (self.maturity - t[1:]) / gap, 0.0))
+        for i, pull in enumerate(dt / gap):
+            s[:, i + 1] += s[:, i] + pull * (self.face_value - s[:, i])
         return s
 
     def _mean(self, t: np.ndarray) -> np.ndarray:
@@ -278,14 +274,13 @@ class DeterministicPrice:
     """A known price trajectory; sampling just evaluates it."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    kind = "deterministic"
 
     @property
     def s0(self) -> float:
         return float(self.fn(np.zeros(1))[0])
 
-    def _sample(self, grid: TimeGrid, seed: int) -> np.ndarray:
-        return np.asarray(self.fn(grid.times), dtype=float)
+    def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
+        return np.tile(np.asarray(self.fn(grid.times), dtype=float), (len(seeds), 1))
 
     def _mean(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(t), dtype=float)
@@ -303,9 +298,17 @@ PriceModel = Union[
 ]
 
 
-def sample_path(model: PriceModel, grid: TimeGrid, seed: int) -> SampledPath:
-    """One realization of the price process; deterministic in (model, grid, seed)."""
-    return SampledPath(grid, model._sample(grid, seed))
+def sample_path(model: PriceModel, grid: TimeGrid, seed) -> SampledPath:
+    """Realizations of the price process; deterministic in (model, grid, seed).
+
+    A seed gives one path; a 1-D array of seeds gives a ``(paths, N)`` block
+    whose rows equal the one-seed paths bit for bit.
+    """
+    seeds = np.asarray(seed)
+    if seeds.ndim > 1:
+        raise DomainError("seed must be one seed or a 1-D array of seeds")
+    values = model._sample_block(grid, seeds.reshape(-1))
+    return SampledPath(grid, values if seeds.ndim else values[0])
 
 
 def expected_path(model: PriceModel, grid: TimeGrid) -> SampledPath:

@@ -64,17 +64,13 @@ def mc_terminals(airy):
     model = ArithmeticBrownian(s0=100.0, sigma=5.0)
     expected = expected_path(model, grid)
     seeds = np.random.SeedSequence(20_24).generate_state(10_000, np.uint64)
-    out = {"quadratic": [], "time": [], "var": []}
     start = time.time()
-    for s in seeds:
-        realized = sample_path(model, grid, int(s))
-        out["quadratic"].append(
-            good_exec_quadratic_closed(FIG2, realized, expected).terminal)
-        out["time"].append(
-            good_exec_time_closed(FIG2, realized, expected, airy).terminal)
-        out["var"].append(good_exec_var_closed(FIG2, realized, expected).terminal)
+    realized = sample_path(model, grid, seeds)
+    out = {"quadratic": good_exec_quadratic_closed(FIG2, realized, expected).terminal,
+           "time": good_exec_time_closed(FIG2, realized, expected, airy).terminal,
+           "var": good_exec_var_closed(FIG2, realized, expected).terminal}
     elapsed = time.time() - start
-    return {k: np.array(v) for k, v in out.items()}, elapsed, grid, model
+    return out, elapsed, grid, model
 
 
 def _closed_ivp_gaps(builders, realized_fine, expected_fine, kind):
@@ -230,16 +226,12 @@ def test_criterion_7_reduction_to_static():
     expected = expected_path(model, grid)
     static = static_optimal(params, expected)
     seeds = np.random.SeedSequence(7_77).generate_state(10_000, np.uint64)
-    excess: dict[str, list[float]] = {}
-    for s in seeds:
-        realized = sample_path(model, grid, int(s))
-        j_static = cost_J("quadratic", params, realized, static)
-        for ch in challenger_plans(params, realized, expected, feedback=5.0):
-            excess.setdefault(ch.strategy_tag, []).append(
-                cost_J("quadratic", params, realized, ch) - j_static)
+    realized = sample_path(model, grid, seeds)
+    j_static = cost_J("quadratic", params, realized, static)
+    excess = {ch.strategy_tag: cost_J("quadratic", params, realized, ch) - j_static
+              for ch in challenger_plans(params, realized, expected, feedback=5.0)}
     ok = True
     for tag, d in excess.items():
-        d = np.array(d)
         se = d.std(ddof=1) / math.sqrt(d.size)
         print(f"    {tag:<14} mean excess {d.mean():>12.2f} (2se {2 * se:.2f})")
         ok = ok and d.mean() >= -2.0 * se

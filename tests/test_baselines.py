@@ -62,13 +62,11 @@ def test_aposteriori_beats_pinned_competitors_pathwise(grid):
     st = static_optimal(PARAMS, e)
     tw = twap(PARAMS, grid)
     rng = np.random.default_rng(5)
-    for seed in range(100):
-        real = sample_path(model, grid, seed)
-        ap = aposteriori_optimal(PARAMS, real)
-        j_ap = cost_J("quadratic", PARAMS, real, ap)
-        tol = 1e-9 * (1.0 + abs(j_ap))
-        assert j_ap <= cost_J("quadratic", PARAMS, real, st) + tol
-        assert j_ap <= cost_J("quadratic", PARAMS, real, tw) + tol
+    real = sample_path(model, grid, np.arange(100))
+    j_ap = cost_J("quadratic", PARAMS, real, aposteriori_optimal(PARAMS, real))
+    tol = 1e-9 * (1.0 + np.abs(j_ap))
+    assert np.all(j_ap <= cost_J("quadratic", PARAMS, real, st) + tol)
+    assert np.all(j_ap <= cost_J("quadratic", PARAMS, real, tw) + tol)
     # brute force: random pinned perturbations never improve on it
     real = sample_path(model, grid, 123)
     ap = aposteriori_optimal(PARAMS, real)
@@ -157,17 +155,13 @@ def test_reduction_to_static_small_monte_carlo():
     e = expected_path(model, g)
     st = static_optimal(params, e)
     seeds = np.random.SeedSequence(21).generate_state(2000, np.uint64)
-    excess: dict[str, list[float]] = {}
-    for s in seeds:
-        real = sample_path(model, g, int(s))
-        j_st = cost_J("quadratic", params, real, st)
-        for ch in challenger_plans(params, real, e, feedback=5.0):
-            excess.setdefault(ch.strategy_tag, []).append(
-                cost_J("quadratic", params, real, ch) - j_st)
+    real = sample_path(model, g, seeds)
+    j_st = cost_J("quadratic", params, real, st)
+    excess = {ch.strategy_tag: cost_J("quadratic", params, real, ch) - j_st
+              for ch in challenger_plans(params, real, e, feedback=5.0)}
     assert set(excess) == {"twap", "front-loaded", "back-loaded",
                            "reactive-pos", "reactive-neg"}
     for tag, d in excess.items():
-        d = np.array(d)
         se = d.std(ddof=1) / math.sqrt(d.size)
         assert d.mean() >= -2.0 * se, tag
 

@@ -121,7 +121,7 @@ def test_repeated_tag_is_evaluated_once():
 
 def _block(paths=5):
     seeds = np.random.SeedSequence(77).generate_state(paths, np.uint64)
-    return SampledPath(GRID, np.stack([sample_path(MODEL, GRID, int(s)).values for s in seeds]))
+    return sample_path(MODEL, GRID, seeds)
 
 
 @pytest.mark.parametrize("tag", [t for t in BUILDERS if t in GOOD_STRATEGIES + ("aposteriori",)])

@@ -62,7 +62,7 @@ def test_compare_prints_table(config_file, tmp_path, capsys):
         assert tag in text
 
 
-def test_validation_exit_code(config_file, tmp_path):
+def test_validation_exit_code(config_file, tmp_path, capsys):
     assert main(["simulate", "--config", config_file, "--grid", "1",
                  "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--config", config_file, "--seed", "-4",
@@ -70,6 +70,7 @@ def test_validation_exit_code(config_file, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model = nonsense\n")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "unknown model kind 'nonsense'" in capsys.readouterr().err
 
 
 def test_non_finite_params_exit_code(tmp_path):

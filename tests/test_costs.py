@@ -298,11 +298,8 @@ def test_liquidation_stats(grid):
     g_small = TimeGrid.uniform(1.0, 128)
     e_small = expected_path(model, g_small)
     seeds = np.random.SeedSequence(4).generate_state(2000, np.uint64)
-    plans = [
-        good_exec_quadratic_closed(PARAMS, sample_path(model, g_small, int(s)), e_small)
-        for s in seeds
-    ]
-    stats = liquidation_stats(plans, 0.0, params=PARAMS,
+    plan = good_exec_quadratic_closed(PARAMS, sample_path(model, g_small, seeds), e_small)
+    stats = liquidation_stats([plan], 0.0, params=PARAMS,
                               variance=variance_path(model, g_small))
     assert abs(stats.mean_error) <= 3.0 * stats.stderr
     assert stats.within_bound

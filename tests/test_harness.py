@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, costs, harness,
-                      strategies)
+                      pricemodels, strategies)
 from pathexec.harness import (
     TRAJECTORY_COLUMNS,
     ScenarioConfig,
@@ -87,6 +87,16 @@ def test_run_scenario_looks_good_exec_up_on_strategies_module(monkeypatch, name)
     tag = "good-" + name.removeprefix("good_exec_").replace("_", "-")
     run_scenario(basic_config(strategy_tags=(tag,), paths=3))
     assert calls == [1]  # one block of three paths
+
+
+def test_run_scenario_samples_each_block_in_one_call(monkeypatch):
+    # a benchmark tracer wraps pricemodels.sample_path in place; one call per block
+    real, blocks = pricemodels.sample_path, []
+    monkeypatch.setattr(pricemodels, "sample_path",
+                        lambda model, grid, seeds: blocks.append(len(seeds))
+                        or real(model, grid, seeds))
+    run_scenario(basic_config(strategy_tags=("twap",), paths=2 * harness.BLOCK_PATHS + 3))
+    assert blocks == [harness.BLOCK_PATHS, harness.BLOCK_PATHS, 3]
 
 
 def test_closed_vs_ivp_inside_harness():
@@ -280,6 +290,12 @@ def test_ingest_bulk_parse_matches_line_scanner(tmp_path, name):
                  id="lobster-non-utf8-message"),
     pytest.param(("1,1\n1,1\n", "1000100,10,1000000,12\n" * 2), None,
                  id="lobster-one-timestamp"),
+    pytest.param(("1,1\n2,1\n3,1\n", "1000100,10,1000000,12\n" * 2), 3,
+                 id="lobster-message-longer"),
+    pytest.param(("1,1\n2,1\n", "1000100,10,1000000,12\n" * 3), 3,
+                 id="lobster-orderbook-longer"),
+    pytest.param(("1,1\n0,1\n3,1\n", "1000100,10,1000000,12\n" * 2), 2,
+                 id="lobster-decreasing-before-unpaired"),
 ])
 def test_ingest_errors_keep_their_line(tmp_path, content, line):
     encode = lambda text: text if isinstance(text, bytes) else text.encode()
@@ -334,6 +350,10 @@ def test_ingest_lobster_pair(tmp_path):
     series = ingest_csv(str(msg), fmt="lobster-mid")
     assert series.prices[0] == pytest.approx(0.5 * (1000100 + 1000000) * 1e-4)
     assert series.timestamps[0] == pytest.approx(34200.1)
+    book.write_text("1000100,10,1000000,12\n")
+    with pytest.raises(CsvParseError,
+                       match="^line 2: message and orderbook files differ in length$"):
+        ingest_csv(str(msg), fmt="lobster-mid")
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -395,7 +415,7 @@ def test_load_config_ou_jump_model(tmp_path):
 def test_load_config_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model = warp-drive\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^unknown model kind 'warp-drive'$"):
         load_config(str(cfg))
     cfg.write_text("grid = not-a-number\n")
     with pytest.raises(ConfigError):

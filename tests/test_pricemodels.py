@@ -21,7 +21,7 @@ GRID = TimeGrid.uniform(1.0, 128)
 
 def mc_paths(model, n, root=1, grid=GRID):
     seeds = np.random.SeedSequence(root).generate_state(n, np.uint64)
-    return np.array([sample_path(model, grid, int(s)).values for s in seeds])
+    return sample_path(model, grid, seeds).values
 
 
 def flat_log(level):
@@ -187,6 +187,32 @@ def _reference_ou_jump_path(model, grid, seed):
     return np.exp(model.m(t) + y + n)
 
 
+def _reference_path(model, grid, seed):
+    """Every model's one-path sampler, one seed at a time in scalar steps: the
+    oracle for the block samplers."""
+    t = grid.times
+    if isinstance(model, OuJumpDiffusion):
+        return _reference_ou_jump_path(model, grid, seed)
+    if isinstance(model, DeterministicPrice):
+        return np.asarray(model.fn(t), dtype=float)
+    (rng,) = (np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(1))
+    if isinstance(model, BrownianBridge):
+        s = np.empty(t.size)
+        s[0] = model.s0
+        z = rng.standard_normal(t.size - 1)
+        for i in range(t.size - 1):
+            gap = model.maturity - t[i]
+            dt = t[i + 1] - t[i]
+            mean = s[i] + dt / gap * (model.face_value - s[i])
+            var = model.sigma**2 * dt * (model.maturity - t[i + 1]) / gap
+            s[i + 1] = mean + math.sqrt(max(var, 0.0)) * z[i]
+        return s
+    w = np.concatenate(([0.0], np.cumsum(rng.standard_normal(t.size - 1) * np.sqrt(np.diff(t)))))
+    if isinstance(model, ArithmeticBrownian):
+        return model.s0 + model.sigma * w
+    return model.s0 * np.exp(model.sigma * w - 0.5 * model.sigma**2 * t)
+
+
 NON_UNIFORM = TimeGrid(np.concatenate(([0.0], np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90)),
                                        [1.0])))
 
@@ -207,6 +233,26 @@ def test_ou_jump_block_sampler_matches_per_path_loop(kw, grid):
     for seed in (0, 12, 2**63 + 5):
         assert (sample_path(model, grid, seed).values.tobytes()
                 == _reference_ou_jump_path(model, grid, seed).tobytes())
+
+
+@pytest.mark.parametrize("model", [
+    ArithmeticBrownian(s0=100.0, sigma=2.0),
+    ExponentialMartingale(s0=100.0, sigma=0.3),
+    BrownianBridge(s0=103.893, face_value=100.0, sigma=1.1642, maturity=1.0),
+    OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0),
+    DeterministicPrice(fn=lambda t: 100.0 + 3.0 * np.asarray(t)),
+], ids=["abm", "exp", "bridge", "ou-jump", "deterministic"])
+@pytest.mark.parametrize("grid", [GRID, NON_UNIFORM], ids=["uniform", "non-uniform"])
+def test_block_rows_equal_one_seed_paths(model, grid):
+    seeds = np.append(np.random.SeedSequence(3).generate_state(6, np.uint64), 2**63 + 5)
+    block = sample_path(model, grid, seeds).values
+    assert block.shape == (seeds.size, len(grid))
+    for row, seed in zip(block, seeds):
+        one = sample_path(model, grid, int(seed)).values
+        assert one.shape == (len(grid),)
+        assert row.tobytes() == one.tobytes() == _reference_path(model, grid, int(seed)).tobytes()
+    with pytest.raises(DomainError, match="1-D array of seeds"):
+        sample_path(model, grid, seeds.reshape(1, -1))
 
 
 def test_deterministic_model():

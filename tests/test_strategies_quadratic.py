@@ -235,9 +235,6 @@ def test_unbiasedness_small_monte_carlo(fig2_params):
     model = ArithmeticBrownian(100.0, 5.0)
     expected = expected_path(model, g)
     seeds = np.random.SeedSequence(99).generate_state(2000, np.uint64)
-    terms = np.array([
-        good_exec_quadratic_closed(fig2_params, sample_path(model, g, int(s)), expected).terminal
-        for s in seeds
-    ])
+    terms = good_exec_quadratic_closed(fig2_params, sample_path(model, g, seeds), expected).terminal
     stderr = terms.std(ddof=1) / math.sqrt(terms.size)
     assert abs(terms.mean()) <= 3.0 * stderr

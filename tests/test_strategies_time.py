@@ -143,9 +143,6 @@ def test_unbiasedness_small_monte_carlo(airy):
     model = ArithmeticBrownian(100.0, 5.0)
     e = expected_path(model, g)
     seeds = np.random.SeedSequence(7).generate_state(2000, np.uint64)
-    terms = np.array([
-        good_exec_time_closed(PARAMS, sample_path(model, g, int(s)), e, airy).terminal
-        for s in seeds
-    ])
+    terms = good_exec_time_closed(PARAMS, sample_path(model, g, seeds), e, airy).terminal
     stderr = terms.std(ddof=1) / math.sqrt(terms.size)
     assert abs(terms.mean()) <= 3.0 * stderr
