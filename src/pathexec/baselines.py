@@ -22,8 +22,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import GridMismatchError
-from .pathcalc import SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young
+from .pathcalc import (SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young,
+                       require_shared_grid)
 from .strategies import ExecutionPlan, MarketParams, _plan, quadratic_trajectory
 
 __all__ = [
@@ -82,9 +82,7 @@ def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
     q_T = c3 x0 / (c3 cosh(c3 T) + c6^2 sinh(c3 T)): the penalty always
     leaves inventory on the table unless c5 -> infinity.
     """
-    if not expected.grid.same_as(drift.grid):
-        raise GridMismatchError("expected and drift paths must share the grid")
-    t = expected.grid.times
+    t = require_shared_grid(expected, drift).times
     T = params.horizon
     c1 = params.impact
     x0 = params.initial_inventory
@@ -132,9 +130,7 @@ def challenger_plans(params: MarketParams, realized: SampledPath,
     adapted and end exactly at the target, so the static optimum must beat
     them in expectation whenever the price drift is deterministic.
     """
-    if not realized.grid.same_as(expected.grid):
-        raise GridMismatchError("realized and expected paths must share the grid")
-    grid = realized.grid
+    grid = require_shared_grid(realized, expected)
     t = grid.times
     T = params.horizon
     x0, x_t = params.initial_inventory, params.target_inventory

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
-from .pathcalc import SampledPath, trapezoid
+from .errors import DomainError
+from .pathcalc import SampledPath, require_shared_grid, trapezoid
 from .strategies import ExecutionPlan, MarketParams
 
 __all__ = [
@@ -57,9 +57,8 @@ def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
 
     One cost per path on a ``(paths, N)`` block (the plan may be 1-D).
     """
-    if not realized.grid.same_as(plan.grid):
-        raise GridMismatchError("realized path and plan must share the grid")
-    t, s, q, r = realized.grid.times, realized.values, plan.q.values, plan.r.values
+    t = require_shared_grid(realized, plan).times
+    s, q, r = realized.values, plan.q.values, plan.r.values
     a, b = _level_weights(criterion, params, t)
     f = r * s + params.impact**2 * r**2 + a * q**2
     return trapezoid(f + b * q * s if b else f, t)
@@ -109,16 +108,15 @@ N_SINE_MODES = 16
 def _perturbation_matrix(count: int, seed: int, scale: float):
     """Gaussian sine-mode coefficients (count, 16) and endpoint-bump draws.
 
-    Per-perturbation sub-seeds keep the draw independent of evaluation order.
+    Coefficients and bumps come from two sub-streams of the seed, each drawn
+    in one call, so the first n perturbations of a larger count are the
+    n-perturbation draw.
     """
     k = np.arange(1, N_SINE_MODES + 1)
-    coeffs = np.empty((count, N_SINE_MODES))
-    bump_draws = np.empty(count)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        coeffs[i] = rng.standard_normal(N_SINE_MODES) * scale / k
-        bump_draws[i] = rng.uniform(-1.2, 1.2)
-    return coeffs, bump_draws
+    sine_rng, bump_rng = (np.random.Generator(np.random.PCG64(child))
+                          for child in np.random.SeedSequence(seed).spawn(2))
+    coeffs = sine_rng.standard_normal((count, N_SINE_MODES)) * scale / k
+    return coeffs, bump_rng.uniform(-1.2, 1.2, count)
 
 
 def _quadratic_form(criterion: str, params: MarketParams, realized: SampledPath,
@@ -165,8 +163,7 @@ def audit_good_inequality(criterion: str, params: MarketParams,
 
     Each perturbation is evaluated exactly through ``_quadratic_form``.
     """
-    if not realized.grid.same_as(plan.grid):
-        raise GridMismatchError("realized path and plan must share the grid")
+    require_shared_grid(realized, plan)
     j0 = cost_J(criterion, params, realized, plan)
     tol = AUDIT_TOL_SCALE * (1.0 + abs(j0))
     if plan.certificate is None:

@@ -150,9 +150,11 @@ class SampledPath:
         return self.values.shape[-1]
 
 
-def _require_shared_grid(a: SampledPath, b: SampledPath) -> None:
-    if not a.grid.same_as(b.grid):
+def require_shared_grid(first, *others) -> TimeGrid:
+    """The grid of ``first``; GridMismatchError unless every other path or plan shares it."""
+    if not all(first.grid.same_as(other.grid) for other in others):
         raise GridMismatchError("paths live on different grids; resample first")
+    return first.grid
 
 
 def _slice_indices(grid: TimeGrid, s: float, t: float) -> tuple[int, int]:
@@ -169,7 +171,7 @@ def young_integral(integrand: SampledPath, integrator: SampledPath, s: float, t:
     continuous integrand against a finite p-variation path; jumps of the
     integrator enter exactly, never smoothed.
     """
-    _require_shared_grid(integrand, integrator)
+    require_shared_grid(integrand, integrator)
     i, j = _slice_indices(integrand.grid, s, t)
     if i == j:
         return 0.0

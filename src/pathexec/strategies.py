@@ -12,9 +12,10 @@ explicit-Euler initial-value stepper for the second-order system
     dq = r dt,      dr = (criterion drift) dt - dS / (2 c1^2),
 
 where the price increment enters exactly per step (jumps are never
-smoothed).  Both constructions read the realized path only up to the current
-time; the future enters solely through the deterministic forecast t -> E[S_t],
-so every schedule is implementable in real time.  The terminal inventory is
+smoothed).  The stepper starts from its closed form's rate at t = 0.  Both
+constructions read the realized path only up to the current time; the future
+enters solely through the deterministic forecast t -> E[S_t], so every
+schedule is implementable in real time.  The terminal inventory is
 random but unbiased: E[q_T] equals the liquidation target.
 
 Every builder is batch-native: a ``(paths, N)`` block of realized paths gives
@@ -25,14 +26,15 @@ one plan with a row (and a certificate) per path, equal to the 1-D builds; a
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .airy import AiryPair
-from .errors import DomainError, GridMismatchError
-from .pathcalc import SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young, trapezoid
+from .errors import DomainError
+from .pathcalc import (SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young,
+                       require_shared_grid, trapezoid)
 
 __all__ = [
     "MarketParams",
@@ -121,8 +123,7 @@ class ExecutionPlan:
     certificate: Optional[Certificate] = None
 
     def __post_init__(self):
-        if not self.q.grid.same_as(self.r.grid):
-            raise GridMismatchError("inventory and rate must share the grid")
+        require_shared_grid(self.q, self.r)
 
     @property
     def grid(self) -> TimeGrid:
@@ -146,11 +147,6 @@ def _scalar(x):
 def _col(x) -> np.ndarray:
     """A per-path constant as a column broadcasting along the time axis."""
     return np.asarray(x)[..., None]
-
-
-def _require_shared(realized: SampledPath, expected: SampledPath) -> None:
-    if not realized.grid.same_as(expected.grid):
-        raise GridMismatchError("realized and expected paths must share the grid")
 
 
 def _exp_moments(c3: float, t: np.ndarray, values: np.ndarray):
@@ -215,7 +211,7 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
     s = realized.values
     half_impact = 2.0 * c1**2
     if k is None:
-        _require_shared(realized, expected)
+        require_shared_grid(realized, expected)
     elif params.risk_neutral:
         raise DomainError("window constants need c2 > 0")
 
@@ -249,21 +245,6 @@ def good_exec_quadratic_closed(params: MarketParams, realized: SampledPath,
                  realized.values[..., -1])
 
 
-def _quadratic_r0(params: MarketParams, s0, expected: SampledPath):
-    """Initial rate making the Euler-Lagrange flow hit E[q_T] = xT."""
-    t = expected.grid.times
-    T = params.horizon
-    c1, c3 = params.impact, params.risk_ratio
-    x0, x_t = params.initial_inventory, params.target_inventory
-    half_impact = 2.0 * c1**2
-    if params.risk_neutral:
-        return -s0 / half_impact + (x_t - x0) / T + trapezoid(expected.values, t) / (half_impact * T)
-    cosh_int = trapezoid(np.cosh(c3 * t) * expected.values, t)
-    sinh_int = trapezoid(np.sinh(c3 * t) * expected.values, t)
-    k_tilde = (math.cosh(c3 * T) * cosh_int - math.sinh(c3 * T) * sinh_int) / half_impact
-    return -s0 / half_impact + c3 / math.sinh(c3 * T) * ((x_t - x0) * math.cosh(c3 * T) + k_tilde)
-
-
 def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
                drift) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler for dq = r dt, dr = drift(t, q, s) dt - dS/(2 c1^2).
@@ -282,9 +263,16 @@ def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
     return q.T, r.T
 
 
-def _euler_plan(params: MarketParams, realized: SampledPath, r0, drift,
-                criterion: str) -> ExecutionPlan:
-    """The ``good-{criterion}-ivp`` plan Euler-stepped from x0 and r0."""
+def _euler_plan(params: MarketParams, realized: SampledPath, expected: SampledPath,
+                trajectory, drift, criterion: str) -> ExecutionPlan:
+    """The ``good-{criterion}-ivp`` plan Euler-stepped from x0 and the closed form's r(0).
+
+    The forecast-fed closed form gives r(0) for S_0 = E_0; every criterion's
+    r(0) moves by -(S_0 - E_0)/(2 c1^2) with the realized start.
+    """
+    require_shared_grid(realized, expected)
+    s0_gap = realized.values[..., 0] - expected.values[..., 0]
+    r0 = trajectory(params, expected, expected)[1][..., 0] - s0_gap / (2.0 * params.impact**2)
     q, r = _euler_ivp(realized.grid.times, realized.values, r0, params.initial_inventory,
                       params.impact, drift)
     return _plan(params, realized.grid, q, r, f"good-{criterion}-ivp", criterion,
@@ -294,11 +282,10 @@ def _euler_plan(params: MarketParams, realized: SampledPath, r0, drift,
 def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
                             expected: SampledPath) -> ExecutionPlan:
     """Euler-stepped quadratic schedule: dr = c3^2 (q - xT) dt - dS/(2 c1^2)."""
-    _require_shared(realized, expected)
     c3sq = params.risk_ratio**2
     x_t = params.target_inventory
-    r0 = _quadratic_r0(params, realized.values[..., 0], expected)
-    return _euler_plan(params, realized, r0, lambda tt, qq, ss: c3sq * (qq - x_t), "quadratic")
+    return _euler_plan(params, realized, expected, quadratic_trajectory,
+                       lambda tt, qq, ss: c3sq * (qq - x_t), "quadratic")
 
 
 def certificate_quadratic(params: MarketParams, realized: SampledPath,
@@ -307,30 +294,17 @@ def certificate_quadratic(params: MarketParams, realized: SampledPath,
 
     C^-1 = c3 int_0^T sinh(c3 (T-u)) Var^(1/2)(S_u) du, so the expectation
     neighbourhood is unrestricted for a deterministic price or vanishing risk
-    aversion.  xi^-1 = |2 c1 c2 (xT-x0)/sinh(c3 T)
-    - c3 int sinh(c3 (T-t)) S_t dt + c3 coth(c3 T) int cosh(c3 (T-t)) E[S_t] dt|.
+    aversion.  xi is the plan's own 1/|2 c1^2 r_T + S_T|.
     """
-    _require_shared(realized, expected)
-    _require_shared(realized, variance)
-    t = realized.grid.times
-    T = params.horizon
-    c1, c2, c3 = params.impact, params.risk_aversion, params.risk_ratio
-    x0, x_t = params.initial_inventory, params.target_inventory
-
+    t = require_shared_grid(realized, expected, variance).times
+    c3 = params.risk_ratio
+    _, r = quadratic_trajectory(params, realized, expected)
+    xi = _xi_from_terminal(params.impact, r[..., -1], realized.values[..., -1])
     if params.risk_neutral:
-        c_cert = math.inf
-        f_t = 2.0 * c1**2 * (x_t - x0) / T + trapezoid(expected.values, t) / T
-    else:
-        c_inv = c3 * trapezoid(np.sinh(c3 * (T - t)) * np.sqrt(np.maximum(variance.values, 0.0)), t)
-        c_cert = math.inf if c_inv == 0.0 else 1.0 / c_inv
-        sinh_t = math.sinh(c3 * T)
-        f_t = (
-            2.0 * c1 * c2 * (x_t - x0) / sinh_t
-            - c3 * trapezoid(np.sinh(c3 * (T - t)) * realized.values, t)
-            + c3 * math.cosh(c3 * T) / sinh_t * trapezoid(np.cosh(c3 * (T - t)) * expected.values, t)
-        )
-    xi = math.inf if f_t == 0.0 else 1.0 / abs(f_t)
-    return Certificate(xi=xi, c=c_cert)
+        return Certificate(xi=xi, c=math.inf)
+    c_inv = c3 * trapezoid(np.sinh(c3 * (params.horizon - t))
+                           * np.sqrt(np.maximum(variance.values, 0.0)), t)
+    return Certificate(xi=xi, c=math.inf if c_inv == 0.0 else 1.0 / c_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +330,18 @@ def _time_response(params: MarketParams, t: np.ndarray, a: np.ndarray,
     return phi, dphi
 
 
-def good_exec_time_closed(params: MarketParams, realized: SampledPath,
-                          expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
-    """Closed-form schedule for the time-weighted criterion.
+def time_trajectory(params: MarketParams, realized: SampledPath,
+                    expected: SampledPath, airy: AiryPair) -> tuple[np.ndarray, np.ndarray]:
+    """Inventory and rate arrays of the time-weighted schedule.
 
     q_t = cA a(t) + cB b(t) - a(t) phi(t) with a, b the rescaled Airy pair;
     phi integrates the realized path, while the boundary constants use the
-    forecast value of phi(T), so that q0 = x0 and E[q_T] = xT.
+    forecast value of phi(T), so that q0 = x0 and E[q_T] = xT.  Without risk
+    aversion the criterion is the quadratic one.
     """
-    _require_shared(realized, expected)
-    if params.risk_aversion == 0.0 or params.risk_neutral:
-        plan = good_exec_quadratic_closed(params, realized, expected)
-        return replace(plan, strategy_tag="good-time-closed", criterion_tag="time")
-    t = realized.grid.times
+    if params.risk_neutral:
+        return quadratic_trajectory(params, realized, expected)
+    t = require_shared_grid(realized, expected).times
     a, da, b, db = _airy_basis(params, t, airy)
     phi, dphi = _time_response(params, t, a, realized.values)
     ephi, _ = _time_response(params, t, a, expected.values)
@@ -380,39 +353,24 @@ def good_exec_time_closed(params: MarketParams, realized: SampledPath,
     c_b = (rhs1 * a[0] - rhs0 * a[-1]) / det
     q = c_a * a + c_b * b - a * phi
     r = c_a * da + c_b * db - da * phi - a * dphi
+    return q, r
+
+
+def good_exec_time_closed(params: MarketParams, realized: SampledPath,
+                          expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
+    """Closed-form schedule for the time-weighted criterion."""
+    q, r = time_trajectory(params, realized, expected, airy)
     return _plan(params, realized.grid, q, r, "good-time-closed", "time",
                  realized.values[..., -1])
 
 
 def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
                        expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
-    """Euler-stepped time-weighted schedule: dr = c3^2 t q dt - dS/(2 c1^2).
-
-    The initial rate comes from variation of parameters around the Airy
-    basis: r0 = eA a'(0) + eB b'(0), with the forecast entering through
-    K = (1/2c1^2) [ S_0 (a_T b_0 - a_0 b_T)/W
-                    + int_0^T E[S_u] (a_T b'_u - b_T a'_u)/W du ],
-    W the (constant) Wronskian a b' - a' b.
-    """
-    _require_shared(realized, expected)
-    if params.risk_aversion == 0.0 or params.risk_neutral:
-        plan = good_exec_quadratic_ivp(params, realized, expected)
-        return replace(plan, strategy_tag="good-time-ivp", criterion_tag="time")
-    t = realized.grid.times
-    a, da, b, db = _airy_basis(params, t, airy)
-    w = a[0] * db[0] - da[0] * b[0]
-    s0 = realized.values[..., 0]
-    half_impact = 2.0 * params.impact**2
-    g_prime = (a[-1] * db - b[-1] * da) / w
-    k_tilde = (s0 * (a[-1] * b[0] - a[0] * b[-1]) / w
-               + trapezoid(expected.values * g_prime, t)) / half_impact
-    det = a[0] * b[-1] - a[-1] * b[0]
-    rhs1 = params.target_inventory + k_tilde
-    e_a = (params.initial_inventory * b[-1] - rhs1 * b[0]) / det
-    e_b = (rhs1 * a[0] - params.initial_inventory * a[-1]) / det
-    r0 = e_a * da[0] + e_b * db[0]
+    """Euler-stepped time-weighted schedule: dr = c3^2 t q dt - dS/(2 c1^2)."""
     c3sq = params.risk_ratio**2
-    return _euler_plan(params, realized, r0, lambda tt, qq, ss: c3sq * tt * qq, "time")
+    return _euler_plan(params, realized, expected,
+                       lambda p, s, e: time_trajectory(p, s, e, airy),
+                       lambda tt, qq, ss: c3sq * tt * qq, "time")
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +380,7 @@ def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
 def var_trajectory(params: MarketParams, realized: SampledPath,
                    expected: SampledPath) -> tuple[np.ndarray, np.ndarray]:
     """q_t = (1-t/T) x0 + (t/T) xT - (1/2c1^2) int_0^t (S_s - c2^2 int_0^s S_u du) ds + K t."""
-    _require_shared(realized, expected)
-    t = realized.grid.times
+    t = require_shared_grid(realized, expected).times
     T = params.horizon
     c1, c2 = params.impact, params.risk_aversion
     x0, x_t = params.initial_inventory, params.target_inventory
@@ -456,17 +413,9 @@ def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
     The drift carries no explicit t factor: differentiating the closed form
     twice gives q'' dt = (c3^2/2) S_t dt - dS/(2 c1^2) directly.
     """
-    _require_shared(realized, expected)
-    t = realized.grid.times
-    T = params.horizon
-    half_impact = 2.0 * params.impact**2
-    s0 = _col(realized.values[..., 0])
-    inner_e = cumulative_trapezoid(expected.values, t)
-    r0 = (params.target_inventory - params.initial_inventory) / T + trapezoid(
-        expected.values - s0 - params.risk_aversion**2 * inner_e, t
-    ) / (half_impact * T)
     half_c3sq = 0.5 * params.risk_ratio**2
-    return _euler_plan(params, realized, r0, lambda tt, qq, ss: half_c3sq * ss, "var")
+    return _euler_plan(params, realized, expected, var_trajectory,
+                       lambda tt, qq, ss: half_c3sq * ss, "var")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathexec import (
     pathwise_f_weight,
     twap,
 )
-from pathexec.costs import _quadratic_form
+from pathexec.costs import _perturbation_matrix, _quadratic_form
 from pathexec.pricemodels import expected_path, sample_path, variance_path
 from pathexec.strategies import Certificate, ExecutionPlan
 from dataclasses import replace
@@ -184,12 +184,11 @@ def _dense_audit(criterion, params, realized, plan, perturbations, seed):
     basis, dbasis = _dense_basis(t, params.horizon)
     scale = 1e-3 * max(abs(params.initial_inventory), 1.0)
     k = np.arange(1, 17)
-    coeffs = np.empty((perturbations, 16))
-    bump_draws = np.empty(perturbations)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(perturbations)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        coeffs[i] = rng.standard_normal(16) * scale / k
-        bump_draws[i] = rng.uniform(-1.2, 1.2)
+    # two sub-streams of the seed: all sine coefficients, then all bumps
+    sine_seq, bump_seq = np.random.SeedSequence(seed).spawn(2)
+    coeffs = np.random.Generator(np.random.PCG64(sine_seq)).standard_normal((perturbations, 16))
+    coeffs = coeffs * scale / k
+    bump_draws = np.random.Generator(np.random.PCG64(bump_seq)).uniform(-1.2, 1.2, perturbations)
     e, de = coeffs @ basis[:16], coeffs @ dbasis[:16]
     xi = plan.certificate.xi
     bumps = bump_draws * (xi if math.isfinite(xi) else 1.0) * weight_sq(e, de)
@@ -201,6 +200,15 @@ def _dense_audit(criterion, params, realized, plan, perturbations, seed):
                        for i in range(perturbations)])
     bad = np.nonzero(member & (j_pert < j0 - tol))[0]
     return int(member.sum()), [(int(i), float(j0 - j_pert[i])) for i in bad], tol
+
+
+@pytest.mark.parametrize("n", [1, 17, 300])
+def test_perturbation_draw_is_a_prefix_of_a_larger_draw(n):
+    coeffs, bumps = _perturbation_matrix(1_000, seed=17, scale=2.5)
+    head_coeffs, head_bumps = _perturbation_matrix(n, seed=17, scale=2.5)
+    assert coeffs.shape == (1_000, 16) and bumps.shape == (1_000,)
+    assert np.array_equal(coeffs[:n], head_coeffs)
+    assert np.array_equal(bumps[:n], head_bumps)
 
 
 def _good_plan(criterion, params, realized):

@@ -1,0 +1,105 @@
+"""What the three criteria share: the Euler steppers' start and the grid check.
+
+Each ``good_exec_*_ivp`` starts from its own closed form's rate at t = 0,
+shifted by -(S_0 - E_0)/(2 c1^2) when the realized path starts off the
+forecast.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pathexec import (
+    ArithmeticBrownian,
+    BrownianBridge,
+    GridMismatchError,
+    MarketParams,
+    SampledPath,
+    TimeGrid,
+    airy_pair,
+    audit_good_inequality,
+    certificate_quadratic,
+    challenger_plans,
+    cost_J,
+    good_exec_quadratic_closed,
+    good_exec_quadratic_ivp,
+    good_exec_time_closed,
+    good_exec_time_ivp,
+    good_exec_var_closed,
+    good_exec_var_ivp,
+    terminal_penalty_optimal,
+)
+from pathexec.pricemodels import expected_path, sample_path
+from pathexec.strategies import ExecutionPlan
+
+FIG2 = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0, horizon=1.0)
+GRID = TimeGrid.uniform(1.0, 512)
+AIRY = airy_pair(FIG2.risk_ratio ** (2.0 / 3.0) * FIG2.horizon, tol=1e-9)
+PAIRS = {
+    "quadratic": (good_exec_quadratic_closed, good_exec_quadratic_ivp, ()),
+    "time": (good_exec_time_closed, good_exec_time_ivp, (AIRY,)),
+    "var": (good_exec_var_closed, good_exec_var_ivp, ()),
+}
+MODELS = {
+    "abm": ArithmeticBrownian(s0=100.0, sigma=5.0),
+    "bridge": BrownianBridge(s0=103.893, face_value=100.0, sigma=1.1642, maturity=1.0),
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(PAIRS))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_ivp_starts_at_the_closed_form_rate(model, criterion):
+    m = MODELS[model]
+    expected = expected_path(m, GRID)
+    realized = sample_path(m, GRID, np.arange(16))
+    closed, ivp, extra = PAIRS[criterion]
+    assert np.all(realized.values[:, 0] == expected.values[0])
+    want = closed(FIG2, realized, expected, *extra).r.values[:, 0]
+    got = ivp(FIG2, realized, expected, *extra).r.values[:, 0]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("c3T", [0.85, 20.0, 50.0, 100.0, 300.0])
+def test_quadratic_ivp_start_at_high_urgency(c3T):
+    params = MarketParams(impact=1.0, risk_aversion=c3T, initial_inventory=1_000.0, horizon=1.0)
+    flat = SampledPath.constant(GRID, 100.0)
+    r0 = good_exec_quadratic_ivp(params, flat, flat).r.values[0]
+    assert r0 == good_exec_quadratic_closed(params, flat, flat).r.values[0]
+    # the analytic value is -c3 x0 coth(c3 T); the gap is the forecast's quadrature
+    assert r0 == pytest.approx(-c3T * 1_000.0 / math.tanh(c3T), rel=1e-5)
+
+
+@pytest.mark.parametrize("criterion", sorted(PAIRS))
+def test_shifted_start_moves_every_initial_rate(criterion):
+    m = MODELS["abm"]
+    expected = expected_path(m, GRID)
+    base = sample_path(m, GRID, np.arange(4))
+    delta = 3.5
+    shifted = SampledPath(GRID, base.values + delta)
+    _, ivp, extra = PAIRS[criterion]
+    r0_base = ivp(FIG2, base, expected, *extra).r.values[:, 0]
+    r0_shifted = ivp(FIG2, shifted, expected, *extra).r.values[:, 0]
+    assert r0_shifted - r0_base == pytest.approx(
+        np.full(4, -delta / (2.0 * FIG2.impact**2)), abs=1e-9)
+
+
+def test_every_grid_check_raises_grid_mismatch():
+    expected = expected_path(MODELS["abm"], GRID)
+    other = SampledPath.constant(TimeGrid.uniform(1.0, 7), 100.0)
+    plan = good_exec_quadratic_closed(FIG2, expected, expected)
+    calls = [
+        lambda: ExecutionPlan(q=plan.q, r=other, strategy_tag="x", criterion_tag="quadratic"),
+        lambda: terminal_penalty_optimal(FIG2, expected, other),
+        lambda: challenger_plans(FIG2, expected, other, 1.0),
+        lambda: cost_J("quadratic", FIG2, other, plan),
+        lambda: audit_good_inequality("quadratic", FIG2, other, plan, perturbations=4, seed=1),
+        lambda: certificate_quadratic(FIG2, expected, expected, other),
+        lambda: good_exec_time_closed(FIG2, expected, other, AIRY),
+        lambda: good_exec_var_closed(FIG2, expected, other),
+    ]
+    calls += [lambda ivp=ivp, extra=extra: ivp(FIG2, expected, other, *extra)
+              for _, ivp, extra in PAIRS.values()]
+    for call in calls:
+        with pytest.raises(GridMismatchError):
+            call()
