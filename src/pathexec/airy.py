@@ -55,14 +55,15 @@ class AiryPair:
         v = self._evaluate(x)
         return v[0] * v[3] - v[1] * v[2]
 
-    def ode_residual(self, x, h: float = 1e-5) -> np.ndarray:
-        """|u'' - x u| probed by a central difference of the derivative rows.
+    def ode_residual(self, x, h: float = 3e-4) -> np.ndarray:
+        """|u'' - x u| probed by a fourth-order central difference of the derivative rows.
 
-        Ai and Bi are entire, so the stencil may step h past [0, x_max].
+        Ai and Bi are entire, so the stencil may step 2h past [0, x_max].
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v = self._evaluate(x)
-        d2 = (np.asarray(special.airy(x + h)) - np.asarray(special.airy(x - h)))[[1, 3]] / (2.0 * h)
+        f = {k: np.asarray(special.airy(x + k * h)) for k in (-2, -1, 1, 2)}
+        d2 = ((8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * h))[[1, 3]]
         return np.maximum(np.abs(d2[0] - x * v[0]), np.abs(d2[1] - x * v[2]))
 
 

@@ -18,13 +18,11 @@ its terminal constant from the realized path.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .pathcalc import (SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young,
                        require_shared_grid)
-from .strategies import ExecutionPlan, MarketParams, _plan, quadratic_trajectory
+from .strategies import ExecutionPlan, MarketParams, _horizon_times, _plan, quadratic_trajectory
 
 __all__ = [
     "static_optimal",
@@ -82,7 +80,7 @@ def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
     q_T = c3 x0 / (c3 cosh(c3 T) + c6^2 sinh(c3 T)): the penalty always
     leaves inventory on the table unless c5 -> infinity.
     """
-    t = require_shared_grid(expected, drift).times
+    t = _horizon_times(params, require_shared_grid(expected, drift))
     T = params.horizon
     c1 = params.impact
     x0 = params.initial_inventory
@@ -100,20 +98,17 @@ def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
     q = phi_rev * core
     r = -dphi_rev * core + v
 
-    plan = _plan(params, expected.grid, q, r, "terminal-penalty", "quadratic",
-                 float(expected.values[-1]))
-    return replace(plan, certificate=None)
+    return _plan(params, expected.grid, q, r, "terminal-penalty", "quadratic", None)
 
 
 def twap(params: MarketParams, grid: TimeGrid) -> ExecutionPlan:
     """Straight line from x0 to xT at constant rate."""
-    t = grid.times
+    t = _horizon_times(params, grid)
     T = params.horizon
     x0, x_t = params.initial_inventory, params.target_inventory
     q = x0 + (t / T) * (x_t - x0)
     r = np.full_like(t, (x_t - x0) / T)
-    plan = _plan(params, grid, q, r, "twap", "quadratic", 0.0)
-    return replace(plan, certificate=None)
+    return _plan(params, grid, q, r, "twap", "quadratic", None)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +126,7 @@ def challenger_plans(params: MarketParams, realized: SampledPath,
     them in expectation whenever the price drift is deterministic.
     """
     grid = require_shared_grid(realized, expected)
-    t = grid.times
+    t = _horizon_times(params, grid)
     T = params.horizon
     x0, x_t = params.initial_inventory, params.target_inventory
     span = x0 - x_t
@@ -140,11 +135,11 @@ def challenger_plans(params: MarketParams, realized: SampledPath,
     frac = t / T
     q_front = x_t + span * (1.0 - frac) ** 2
     r_front = -2.0 * span / T * (1.0 - frac)
-    plans.append(_tagged(params, grid, q_front, r_front, "front-loaded"))
+    plans.append(_plan(params, grid, q_front, r_front, "front-loaded", "quadratic", None))
 
     q_back = x_t + span * (1.0 - frac**2)
     r_back = -2.0 * span * frac / T
-    plans.append(_tagged(params, grid, q_back, r_back, "back-loaded"))
+    plans.append(_plan(params, grid, q_back, r_back, "back-loaded", "quadratic", None))
 
     gap = realized.values - expected.values
     z = cumulative_trapezoid(gap, t)
@@ -152,10 +147,5 @@ def challenger_plans(params: MarketParams, realized: SampledPath,
         g = sign * feedback
         q_react = x_t + span * (1.0 - frac) - g * (1.0 - frac) * z
         r_react = -span / T + g * z / T - g * (1.0 - frac) * gap
-        plans.append(_tagged(params, grid, q_react, r_react, tag))
+        plans.append(_plan(params, grid, q_react, r_react, tag, "quadratic", None))
     return plans
-
-
-def _tagged(params, grid, q, r, tag):
-    plan = _plan(params, grid, q, r, tag, "quadratic", 0.0)
-    return replace(plan, certificate=None)

@@ -23,8 +23,8 @@ BACKTEST_STRATEGIES = {"static": "static", "good": "good-quadratic-closed",
                        "aposteriori": "aposteriori", "twap": "twap"}
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="scenario config file")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="scenario config file")
     p.add_argument("--seed", type=int, default=None, help="override root seed")
     p.add_argument("--paths", type=int, default=None, help="override path count")
     p.add_argument("--grid", type=int, default=None, help="override grid steps")

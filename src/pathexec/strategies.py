@@ -26,7 +26,7 @@ one plan with a row (and a certificate) per path, equal to the 1-D builds; a
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -149,20 +149,16 @@ def _col(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
-def _exp_moments(c3: float, t: np.ndarray, values: np.ndarray):
-    """Running integrals P(t) = int e^{-c3 u} x_u du and M(t) = int e^{c3 u} x_u du.
-
-    cosh/sinh convolutions assemble from these without catastrophic
-    cancellation:  int_0^t cosh(c3 (t-u)) x_u du = (e^{c3 t} P + e^{-c3 t} M)/2.
-    """
-    p = cumulative_trapezoid(np.exp(-c3 * t) * values, t)
-    m = cumulative_trapezoid(np.exp(c3 * t) * values, t)
-    return p, m
-
-
 def _hyperbolic_convolutions(c3: float, t: np.ndarray, values: np.ndarray):
-    p, m = _exp_moments(c3, t, values)
+    """int_0^t cosh(c3 (t-u)) x_u du and int_0^t sinh(c3 (t-u)) x_u du.
+
+    Both assemble from the running integrals P(t) = int e^{-c3 u} x_u du and
+    M(t) = int e^{c3 u} x_u du without catastrophic cancellation:
+    int_0^t cosh(c3 (t-u)) x_u du = (e^{c3 t} P + e^{-c3 t} M)/2.
+    """
     ep, em = np.exp(c3 * t), np.exp(-c3 * t)
+    p = cumulative_trapezoid(em * values, t)
+    m = cumulative_trapezoid(ep * values, t)
     conv_cosh = 0.5 * (ep * p + em * m)
     conv_sinh = 0.5 * (ep * p - em * m)
     return conv_cosh, conv_sinh
@@ -174,11 +170,21 @@ def _xi_from_terminal(c1: float, r_terminal, s_terminal):
         return _scalar(1.0 / np.abs(f_t))  # inf where f_t == 0
 
 
+def _horizon_times(params: MarketParams, grid: TimeGrid) -> np.ndarray:
+    """The grid's times; DomainError unless the grid ends at the market horizon."""
+    T = params.horizon
+    if abs(grid.horizon - T) > 1e-12 * max(1.0, T):
+        raise DomainError("grid horizon must match the market horizon")
+    return grid.times
+
+
 def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
           strategy_tag: str, criterion_tag: str, s_terminal) -> ExecutionPlan:
+    """A plan starting at x0; ``s_terminal=None`` builds it without a certificate."""
     q = np.array(q, dtype=float)
     q[..., 0] = params.initial_inventory
-    cert = Certificate(xi=_xi_from_terminal(params.impact, r[..., -1], s_terminal))
+    cert = (None if s_terminal is None
+            else Certificate(xi=_xi_from_terminal(params.impact, r[..., -1], s_terminal)))
     return ExecutionPlan(
         q=SampledPath(grid, q),
         r=SampledPath(grid, np.asarray(r, dtype=float)),
@@ -201,27 +207,21 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
     with a(t) = 1 - sinh(c3 (T-t))/sinh(c3 T) and the constant K built from
     the forecast so that E[q_T] = xT.  The rate is the exact time derivative.
     A given ``k`` overrides K (the forecast is then unused); it needs c2 > 0.
+    Without risk aversion the schedule is the value-at-risk one at c2 = 0.
     """
-    t = realized.grid.times
-    T = params.horizon
-    if abs(realized.grid.horizon - T) > 1e-12 * max(1.0, T):
-        raise DomainError("grid horizon must match the market horizon")
-    c1, c3 = params.impact, params.risk_ratio
-    x0, x_t = params.initial_inventory, params.target_inventory
-    s = realized.values
-    half_impact = 2.0 * c1**2
     if k is None:
         require_shared_grid(realized, expected)
     elif params.risk_neutral:
         raise DomainError("window constants need c2 > 0")
-
     if params.risk_neutral:
-        cum_s = cumulative_trapezoid(s, t)
-        total_e = _col(trapezoid(expected.values, t))
-        q = x0 + (t / T) * (x_t - x0) - cum_s / half_impact + t * total_e / (half_impact * T)
-        r = (x_t - x0) / T - s / half_impact + total_e / (half_impact * T)
-        return q, r
+        return var_trajectory(replace(params, risk_aversion=0.0), realized, expected)
 
+    t = _horizon_times(params, realized.grid)
+    T = params.horizon
+    c1, c3 = params.impact, params.risk_ratio
+    x0, x_t = params.initial_inventory, params.target_inventory
+    s = realized.values
+    half_impact = 2.0 * c1**2
     conv_cosh, conv_sinh = _hyperbolic_convolutions(c3, t, s)
     sinh_t_full = math.sinh(c3 * T)
     if k is None:
@@ -321,10 +321,14 @@ def _airy_basis(params: MarketParams, t: np.ndarray, airy: AiryPair):
 
 
 def _time_response(params: MarketParams, t: np.ndarray, a: np.ndarray,
-                   driver: np.ndarray):
-    """phi(t) = (1/2c1^2) int_0^t a^-2(s) [int_0^s a(u) dX_u] ds and its pieces."""
+                   driver: np.ndarray, start):
+    """phi(t) = (1/2c1^2) int_0^t a^-2(s) [int_0^s a(u) dX_u] ds and its pieces.
+
+    X jumps from ``start`` to driver[0] at t = 0, which adds a(0) (driver[0] - start)
+    to the inner integral.
+    """
     half_impact = 2.0 * params.impact**2
-    inner = cumulative_young(a, driver)
+    inner = cumulative_young(a, driver) + a[0] * (driver[..., :1] - start)
     dphi = inner / (a**2 * half_impact)
     phi = cumulative_trapezoid(dphi, t)
     return phi, dphi
@@ -335,16 +339,17 @@ def time_trajectory(params: MarketParams, realized: SampledPath,
     """Inventory and rate arrays of the time-weighted schedule.
 
     q_t = cA a(t) + cB b(t) - a(t) phi(t) with a, b the rescaled Airy pair;
-    phi integrates the realized path, while the boundary constants use the
-    forecast value of phi(T), so that q0 = x0 and E[q_T] = xT.  Without risk
-    aversion the criterion is the quadratic one.
+    phi integrates the realized path from the forecast's start E_0, while the
+    boundary constants use the forecast value of phi(T), so that q0 = x0 and
+    E[q_T] = xT.  Without risk aversion the criterion is the quadratic one.
     """
     if params.risk_neutral:
         return quadratic_trajectory(params, realized, expected)
-    t = require_shared_grid(realized, expected).times
+    t = _horizon_times(params, require_shared_grid(realized, expected))
     a, da, b, db = _airy_basis(params, t, airy)
-    phi, dphi = _time_response(params, t, a, realized.values)
-    ephi, _ = _time_response(params, t, a, expected.values)
+    e0 = expected.values[..., :1]
+    phi, dphi = _time_response(params, t, a, realized.values, e0)
+    ephi, _ = _time_response(params, t, a, expected.values, e0)
     # boundary rows: q(0) = x0 and E[q(T)] = xT
     det = a[0] * b[-1] - a[-1] * b[0]
     rhs0 = params.initial_inventory
@@ -380,7 +385,7 @@ def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
 def var_trajectory(params: MarketParams, realized: SampledPath,
                    expected: SampledPath) -> tuple[np.ndarray, np.ndarray]:
     """q_t = (1-t/T) x0 + (t/T) xT - (1/2c1^2) int_0^t (S_s - c2^2 int_0^s S_u du) ds + K t."""
-    t = require_shared_grid(realized, expected).times
+    t = _horizon_times(params, require_shared_grid(realized, expected))
     T = params.horizon
     c1, c2 = params.impact, params.risk_aversion
     x0, x_t = params.initial_inventory, params.target_inventory
@@ -436,12 +441,15 @@ def quadratic_with_terminal_constant(params: MarketParams, realized: SampledPath
 
 
 def alt_terminal_K(params: MarketParams, expected: SampledPath, mode: str,
-                   t0: float, refine: int = 512) -> float:
+                   t0: float) -> float:
     """Terminal-adjustment constant for window-based relaxations of E[q_T] = xT.
 
-    ``mode="mean-square-window"`` minimizes E[ mean_{[t0,T]} (q_t - xT)^2 dt ];
-    ``mode="window-average"`` minimizes E[ (mean_{[t0,T]} q_t dt - xT)^2 ].
-    Both use psi(t) = int_0^t cosh(c3 (t-u)) E[S_u] du - (1-a(t)) (x0 - xT).
+    A constant K gives the mean schedule q0(t) + K sinh(c3 t), with q0 the
+    forecast-fed schedule at K = 0.  Over the window w = [t0, T],
+    ``mode="mean-square-window"`` minimizes E[ mean_w (q_t - xT)^2 dt ]:
+    K = -int_w sinh(c3 t) (q0 - xT) / int_w sinh^2(c3 t);
+    ``mode="window-average"`` minimizes E[ (mean_w q_t dt - xT)^2 ]:
+    K = -int_w (q0 - xT) / int_w sinh(c3 t).
     The resulting schedules are generally biased (they leave the unbiased
     class); the mean-square window recovers the standard constant as t0 -> T.
     """
@@ -450,26 +458,14 @@ def alt_terminal_K(params: MarketParams, expected: SampledPath, mode: str,
         raise DomainError("need 0 <= t0 < horizon")
     if mode not in ("mean-square-window", "window-average"):
         raise DomainError(f"unknown terminal mode {mode!r}")
-    c1, c3 = params.impact, params.risk_ratio
-    if params.risk_neutral:
-        raise DomainError("window constants need c2 > 0 (hyperbolic weights degenerate)")
-    x0, x_t = params.initial_inventory, params.target_inventory
-    half_impact = 2.0 * c1**2
-
-    # union of the sampling grid and a refinement of the window [t0, T]:
-    # psi must be resolved inside possibly tiny windows
-    t_union = np.union1d(expected.grid.times, np.linspace(t0, T, refine + 1))
-    e_union = np.interp(t_union, expected.grid.times, expected.values)
-    conv_cosh, _ = _hyperbolic_convolutions(c3, t_union, e_union)
-    alpha = 1.0 - np.sinh(c3 * (T - t_union)) / math.sinh(c3 * T)
-    psi = conv_cosh - (1.0 - alpha) * (x0 - x_t)
-
-    win = t_union >= t0 - 1e-15 * max(1.0, T)
-    tw, psw = t_union[win], psi[win]
+    # union of the forecast grid and a refinement of the window [t0, T]:
+    # q0 must be resolved inside possibly tiny windows
+    t = np.union1d(_horizon_times(params, expected.grid), np.linspace(t0, T, 513))
+    forecast = SampledPath(TimeGrid(t), np.interp(t, expected.grid.times, expected.values))
+    q0, _ = quadratic_trajectory(params, forecast, k=0.0)
+    win = t >= t0 - 1e-15 * max(1.0, T)
+    tw, gap = t[win], q0[win] - params.target_inventory
+    weight = np.sinh(params.risk_ratio * tw)
     if mode == "mean-square-window":
-        num = trapezoid(np.sinh(c3 * tw) * psw, tw)
-        den = half_impact * trapezoid(np.sinh(c3 * tw) ** 2, tw)
-        return float(num / den)
-    num = c3 * trapezoid(psw, tw)
-    den = half_impact * (math.cosh(c3 * T) - math.cosh(c3 * t0))
-    return float(num / den)
+        return float(-trapezoid(weight * gap, tw) / trapezoid(weight**2, tw))
+    return float(-trapezoid(gap, tw) / trapezoid(weight, tw))

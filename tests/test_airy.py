@@ -95,6 +95,14 @@ def test_high_urgency_matches_bessel_identities(c3):
     assert np.all(pair.ai(xs) > 0.0)
 
 
+@pytest.mark.parametrize("x_max", [10.0, 20.0, 30.0, 45.0, 60.0, 65.398])
+def test_ode_residual_certifies_the_whole_admitted_range(x_max):
+    # criterion 9's bound, up to the largest x_max that airy_pair admits
+    pair = airy_pair(x_max, tol=1e-9)
+    xs = np.linspace(0.0, x_max, 400)
+    assert np.all(pair.ode_residual(xs) <= 1e-8 * (1.0 + np.abs(pair.bi(xs))))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_urgency_past_representable_range_is_a_domain_error():
     # 1/Ai(x_max)^2 overflows from x_max ~ 65.398, i.e. c3 ~ 528.87 at T = 1

@@ -252,6 +252,16 @@ def test_ingest_bulk_parse_matches_line_scanner(tmp_path, name):
     assert got.timestamps.flags.c_contiguous and got.prices.flags.c_contiguous
 
 
+def test_ingest_reads_a_compressed_suffix_as_plain_text(tmp_path):
+    content = b"time,price\n0,100\n0.5,101.25\n1,99.5\n"
+    plain, gz = tmp_path / "prices.csv", tmp_path / "prices.csv.gz"
+    plain.write_bytes(content)
+    gz.write_bytes(content)
+    want, got = ingest_csv(str(plain)), ingest_csv(str(gz))
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert got.prices.tobytes() == want.prices.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("content, line", [
     pytest.param("0,100\n1,-5\n", 2, id="non-positive"),

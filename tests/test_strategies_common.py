@@ -13,11 +13,13 @@ import pytest
 from pathexec import (
     ArithmeticBrownian,
     BrownianBridge,
+    DomainError,
     GridMismatchError,
     MarketParams,
     SampledPath,
     TimeGrid,
     airy_pair,
+    aposteriori_optimal,
     audit_good_inequality,
     certificate_quadratic,
     challenger_plans,
@@ -28,10 +30,12 @@ from pathexec import (
     good_exec_time_ivp,
     good_exec_var_closed,
     good_exec_var_ivp,
+    static_optimal,
     terminal_penalty_optimal,
+    twap,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import ExecutionPlan
+from pathexec.strategies import ExecutionPlan, alt_terminal_K, quadratic_with_terminal_constant
 
 FIG2 = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0, horizon=1.0)
 GRID = TimeGrid.uniform(1.0, 512)
@@ -77,11 +81,14 @@ def test_shifted_start_moves_every_initial_rate(criterion):
     base = sample_path(m, GRID, np.arange(4))
     delta = 3.5
     shifted = SampledPath(GRID, base.values + delta)
-    _, ivp, extra = PAIRS[criterion]
+    closed, ivp, extra = PAIRS[criterion]
     r0_base = ivp(FIG2, base, expected, *extra).r.values[:, 0]
     r0_shifted = ivp(FIG2, shifted, expected, *extra).r.values[:, 0]
     assert r0_shifted - r0_base == pytest.approx(
         np.full(4, -delta / (2.0 * FIG2.impact**2)), abs=1e-9)
+    # every closed form reads the start S_0 - E_0 the way its stepper does
+    r0_closed = closed(FIG2, shifted, expected, *extra).r.values[:, 0]
+    assert r0_closed == pytest.approx(r0_shifted, abs=1e-9)
 
 
 def test_every_grid_check_raises_grid_mismatch():
@@ -102,4 +109,25 @@ def test_every_grid_check_raises_grid_mismatch():
               for _, ivp, extra in PAIRS.values()]
     for call in calls:
         with pytest.raises(GridMismatchError):
+            call()
+
+
+def test_every_builder_rejects_a_grid_off_the_market_horizon():
+    # params horizon 1 on a horizon-2 grid: a DomainError, never a plausible number
+    grid = TimeGrid.uniform(2.0, 64)
+    path = SampledPath.constant(grid, 100.0)
+    calls = [
+        lambda: certificate_quadratic(FIG2, path, path, path),
+        lambda: static_optimal(FIG2, path),
+        lambda: aposteriori_optimal(FIG2, path),
+        lambda: terminal_penalty_optimal(FIG2, path, path),
+        lambda: twap(FIG2, grid),
+        lambda: challenger_plans(FIG2, path, path, 1.0),
+        lambda: quadratic_with_terminal_constant(FIG2, path, 0.5),
+        lambda: alt_terminal_K(FIG2, path, "window-average", 0.5),
+    ]
+    calls += [lambda build=build, extra=extra: build(FIG2, path, path, *extra)
+              for closed, ivp, extra in PAIRS.values() for build in (closed, ivp)]
+    for call in calls:
+        with pytest.raises(DomainError, match="horizon"):
             call()

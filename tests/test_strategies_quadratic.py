@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from pathexec import (
     ArithmeticBrownian,
@@ -187,10 +188,11 @@ def test_alt_terminal_window_constants():
     assert alt_terminal_K(p0, zero, "mean-square-window", 0.25) == pytest.approx(0.0, abs=1e-15)
     assert alt_terminal_K(p0, zero, "window-average", 0.25) == pytest.approx(0.0, abs=1e-15)
 
-    # window average at t0 = 0 against an independent quadrature oracle
+    # window average at t0 = 0 against an independent quadrature oracle:
+    # psi = 2 c1^2 (xT - q0) = int_0^t cosh(c3 (t-u)) E_u du - 2 c1^2 (1-a(t)) (x0 - xT)
     def psi(tt):
         inner, _ = quad(lambda u: math.cosh(tt - u), 0.0, tt)
-        return inner - math.sinh(1.0 - tt) / math.sinh(1.0)
+        return inner - 2.0 * math.sinh(1.0 - tt) / math.sinh(1.0)
 
     num, _ = quad(psi, 0.0, 1.0)
     oracle = num / (2.0 * (math.cosh(1.0) - 1.0))
@@ -201,6 +203,36 @@ def test_alt_terminal_window_constants():
         alt_terminal_K(params, expected, "window-average", 1.0)
     with pytest.raises(DomainError):
         alt_terminal_K(params, expected, "nonsense", 0.5)
+
+
+def _window_oracle(params, mode, t0, level, slope):
+    """Brute-force minimizer of alt_terminal_K's objective for the forecast
+    level + slope t, with q0 written out analytically on a 2^16-step grid."""
+    c1, c3, T = params.impact, params.risk_ratio, params.horizon
+    x0, x_t = params.initial_inventory, params.target_inventory
+    t = np.linspace(0.0, T, 2**16 + 1)
+    conv = level * np.sinh(c3 * t) / c3 + slope * (np.cosh(c3 * t) - 1.0) / c3**2
+    a = 1.0 - np.sinh(c3 * (T - t)) / math.sinh(c3 * T)
+    q0 = x0 + a * (x_t - x0) - conv / (2.0 * c1**2)
+    w = t >= t0
+    tw, qw, sw = t[w], q0[w], np.sinh(c3 * t[w])
+    if mode == "mean-square-window":
+        objective = lambda k: np.trapezoid((qw + k * sw - x_t) ** 2, tw) / (T - t0)
+    else:
+        objective = lambda k: (np.trapezoid(qw + k * sw, tw) / (T - t0) - x_t) ** 2
+    return minimize_scalar(objective, bracket=(-1.0, 1.0), tol=1e-12).x
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.25, 0.75])
+@pytest.mark.parametrize("c1", [0.5, 1.0 / math.sqrt(2.0), 1.0, 1.35])
+def test_alt_terminal_constant_minimizes_its_objective(c1, t0):
+    params = MarketParams(impact=c1, risk_aversion=1.3 * c1, initial_inventory=1.0,
+                          horizon=1.0, target_inventory=0.2)
+    g = TimeGrid.uniform(1.0, 256)
+    expected = SampledPath(g, 1.0 + 0.5 * g.times)
+    for mode in ("mean-square-window", "window-average"):
+        want = _window_oracle(params, mode, t0, 1.0, 0.5)
+        assert alt_terminal_K(params, expected, mode, t0) == pytest.approx(want, abs=1e-5)
 
 
 def test_terminal_constant_substitution():

@@ -125,7 +125,7 @@ def test_boundary_constant_routes_agree(airy):
         g_prime = (a[-1] * db - b[-1] * da) / w
         k_ivp = (e_vals[0] * (a[-1] * b[0] - a[0] * b[-1]) / w
                  + trapezoid(e_vals * g_prime, t)) / half
-        ephi, _ = _time_response(PARAMS, t, a, e_vals)
+        ephi, _ = _time_response(PARAMS, t, a, e_vals, e_vals[0])
         gaps.append(abs(k_ivp - a[-1] * ephi[-1]))
     assert gaps[1] <= 0.3 * gaps[0]
     assert gaps[1] <= 1e-4
