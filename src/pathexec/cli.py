@@ -123,12 +123,12 @@ def _cmd_backtest(args) -> int:
                                                   target.values)))
 
     with _overflow_is_domain_error(config.params):
-        plans, cost = evaluate_block(config.criterion, config.params, realized, expected,
+        plans, rows = evaluate_block(config.criterion, config.params, realized, expected,
                                      BACKTEST_STRATEGIES.values())
     print(f"backtest of {args.csv}: {series.prices.size} rows, horizon "
           f"{config.params.horizon}")
     for label, tag in BACKTEST_STRATEGIES.items():
-        print(f"{label:<14} cost={cost[tag]:.6g} terminal={plans[tag].terminal:.6g}")
+        print(f"{label:<14} cost={rows[tag][0]:.6g} terminal={plans[tag].terminal:.6g}")
     bundles = trajectory_bundles(realized, expected, plans, BACKTEST_STRATEGIES["good"])
     files = emit_plotdata(RunArtifact(config, [], 1, bundles), config.out_dir)
     print(f"wrote {len(files)} files to {config.out_dir}")

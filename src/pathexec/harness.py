@@ -42,9 +42,11 @@ __all__ = [
     "ALL_STRATEGIES",
 ]
 
-# Paths evaluated together.  Every formula acts row by row, so results do not
-# depend on it; it bounds the memory of a block (a few MB at grid 512).
-BLOCK_PATHS = 64
+# float64 elements of one (paths, N) array of a block: a block holds
+# max(1, BLOCK_ELEMENTS // N) paths (255 at grid 512, 63 at grid 2048).  Every
+# formula acts row by row, so results do not depend on it; it bounds the
+# memory of a block, whose plans are built, scored and dropped one at a time.
+BLOCK_ELEMENTS = 2**17
 
 
 # tag -> build(params, realized, expected, airy).  Functions are looked up on
@@ -141,18 +143,25 @@ class RunArtifact:
 
 def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
                    expected: SampledPath, tags, airy: Optional[AiryPair] = None,
-                   fixed: Optional[dict[str, ExecutionPlan]] = None):
-    """Build each tagged plan once on a block of realized paths and score it.
+                   fixed: Optional[dict[str, ExecutionPlan]] = None, keep=None):
+    """Build, score and drop each tagged plan in turn on a block of realized paths.
 
     ``realized`` holds one path per row; a 1-D path is the one-path block.
     Plans given in ``fixed`` are reused as they are (broadcast over the rows).
-    Returns (tag -> plan, tag -> per-path cost).
+    Returns (tag -> plan, for the tags in ``keep`` or all tags when it is None;
+    tag -> (per-path cost, terminal error, xi)), with xi NaN off the good tags.
     """
     fixed = fixed or {}
-    plans = {tag: fixed[tag] if tag in fixed
-             else STRATEGIES[tag](params, realized, expected, airy) for tag in tags}
-    return plans, {tag: costs.cost_J(criterion, params, realized, plan)
-                   for tag, plan in plans.items()}
+    plans, rows = {}, {}
+    for tag in tags:
+        plan = fixed[tag] if tag in fixed else STRATEGIES[tag](params, realized, expected, airy)
+        rows[tag] = (costs.cost_J(criterion, params, realized, plan),
+                     plan.terminal - params.target_inventory,
+                     plan.certificate.xi if tag in GOOD_STRATEGIES else np.nan)
+        if keep is None or tag in keep:
+            plans[tag] = plan
+        del plan  # not alive while the next tag builds
+    return plans, rows
 
 
 def trajectory_bundles(realized: SampledPath, expected: SampledPath,
@@ -184,9 +193,10 @@ def _overflow_is_domain_error(params: MarketParams):
 def run_scenario(config: ScenarioConfig) -> RunArtifact:
     """Sample paths and evaluate every listed strategy with common random numbers.
 
-    Each block of BLOCK_PATHS paths, one seed each, is sampled in one call
-    and evaluated together; only per-path scalars (and dumped panels) outlive
-    a block.
+    Each block of max(1, BLOCK_ELEMENTS // N) paths, one seed each, is
+    sampled in one call; its plans are built, scored and dropped one at a
+    time.  Only per-path scalars and the dumped panels' plans outlive their
+    tag, and the block is released before the next one is sampled.
     """
     config.validate()
     grid = config.grid()
@@ -205,20 +215,20 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
                  for tag in tags if tag in FIXED_STRATEGIES}
 
     seeds = np.random.SeedSequence(config.seed).generate_state(config.paths, np.uint64)
+    block = max(1, BLOCK_ELEMENTS // grid.times.size)
     # per tag and block: cost, terminal error and xi (NaN off the good tags)
     rows: dict[str, list] = {tag: [] for tag in config.strategy_tags}
     bundles: list[TrajectoryBundle] = []
-    for lo in range(0, config.paths, BLOCK_PATHS):
-        realized = pricemodels.sample_path(config.model, grid, seeds[lo:lo + BLOCK_PATHS])
+    for lo in range(0, config.paths, block):
+        realized = pricemodels.sample_path(config.model, grid, seeds[lo:lo + block])
         with _overflow_is_domain_error(params):
-            plans, cost = evaluate_block(config.criterion, params, realized, expected, tags,
-                                         airy, fixed)
+            plans, block_rows = evaluate_block(config.criterion, params, realized, expected,
+                                               tags, airy, fixed, keep=panel_tags)
         for tag, tag_rows in rows.items():
-            xi = plans[tag].certificate.xi if tag in GOOD_STRATEGIES else np.nan
-            tag_rows.append(np.broadcast_arrays(
-                cost[tag], plans[tag].terminal - params.target_inventory, xi))
+            tag_rows.append(np.broadcast_arrays(*block_rows[tag]))
         if config.dump_trajectories:
             bundles += trajectory_bundles(realized, expected, plans, dump_tag)
+        del realized, plans  # released before the next block is sampled
 
     stats = []
     for tag in config.strategy_tags:

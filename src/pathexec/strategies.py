@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -225,7 +226,8 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
     conv_cosh, conv_sinh = _hyperbolic_convolutions(c3, t, s)
     sinh_t_full = math.sinh(c3 * T)
     if k is None:
-        conv_cosh_e, _ = _hyperbolic_convolutions(c3, t, expected.values)
+        conv_cosh_e = (conv_cosh if expected is realized
+                       else _hyperbolic_convolutions(c3, t, expected.values)[0])
         k = _col(conv_cosh_e[..., -1]) / (half_impact * sinh_t_full)
     alpha = 1.0 - np.sinh(c3 * (T - t)) / sinh_t_full
     q = x0 + alpha * (x_t - x0) - conv_cosh / half_impact + k * np.sinh(c3 * t)
@@ -249,32 +251,55 @@ def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
                drift) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler for dq = r dt, dr = drift(t, q, s) dt - dS/(2 c1^2).
 
-    Loops over time only, stepping every path (row) of ``s`` at once.
+    Loops over time only, stepping every path (row) of ``s`` at once; the
+    time rows are split into lists and t, dt into floats once, before the loop.
     """
-    s_time = s.T
+    s_time = s.reshape(-1, s.shape[-1]).T  # a 1-D path is the one-path block
     q = np.empty(s_time.shape)
     r = np.empty(s_time.shape)
     q[0], r[0] = x0, r0
-    jump = np.diff(s_time, axis=0) / (2.0 * c1**2)
+    jump = list(np.diff(s_time, axis=0) / (2.0 * c1**2))
+    q_rows, r_rows, s_rows = list(q), list(r), list(s_time)
+    for i, (t_i, dt_i) in enumerate(zip(t.tolist(), np.diff(t).tolist())):
+        np.add(q_rows[i], r_rows[i] * dt_i, out=q_rows[i + 1])
+        np.subtract(r_rows[i] + drift(t_i, q_rows[i], s_rows[i]) * dt_i, jump[i],
+                    out=r_rows[i + 1])
+    return q.T.reshape(s.shape), r.T.reshape(s.shape)
+
+
+def _var_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
+             half_c3sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_euler_ivp`` with the drift (c3^2/2) S_t, as two running sums.
+
+    The drift does not read q, so r accumulates [r0, (c3^2/2 S_0) dt_0,
+    -dS_0/(2 c1^2), ...] and q accumulates [x0, r_0 dt_0, ...]; a sequential
+    accumulate adds in the loop's order, so the bytes are the loop's.
+    """
     dt = np.diff(t)
-    for i in range(t.size - 1):
-        q[i + 1] = q[i] + r[i] * dt[i]
-        r[i + 1] = r[i] + drift(t[i], q[i], s_time[i]) * dt[i] - jump[i]
-    return q.T, r.T
+    steps = np.empty(s.shape[:-1] + (2 * t.size - 1,))
+    steps[..., 0] = r0
+    steps[..., 1::2] = half_c3sq * s[..., :-1] * dt
+    steps[..., 2::2] = -(np.diff(s) / (2.0 * c1**2))
+    r = np.add.accumulate(steps, axis=-1, out=steps)[..., ::2].copy()
+    q = np.empty(s.shape)
+    q[..., 0] = x0
+    np.multiply(r[..., :-1], dt, out=q[..., 1:])
+    return np.add.accumulate(q, axis=-1, out=q), r
 
 
 def _euler_plan(params: MarketParams, realized: SampledPath, expected: SampledPath,
-                trajectory, drift, criterion: str) -> ExecutionPlan:
-    """The ``good-{criterion}-ivp`` plan Euler-stepped from x0 and the closed form's r(0).
+                trajectory, step, criterion: str) -> ExecutionPlan:
+    """The ``good-{criterion}-ivp`` plan stepped from x0 and the closed form's r(0).
 
-    The forecast-fed closed form gives r(0) for S_0 = E_0; every criterion's
-    r(0) moves by -(S_0 - E_0)/(2 c1^2) with the realized start.
+    ``step(t, s, r0, x0, c1)`` returns (q, r).  The forecast-fed closed form
+    gives r(0) for S_0 = E_0; every criterion's r(0) moves by
+    -(S_0 - E_0)/(2 c1^2) with the realized start.
     """
     require_shared_grid(realized, expected)
     s0_gap = realized.values[..., 0] - expected.values[..., 0]
     r0 = trajectory(params, expected, expected)[1][..., 0] - s0_gap / (2.0 * params.impact**2)
-    q, r = _euler_ivp(realized.grid.times, realized.values, r0, params.initial_inventory,
-                      params.impact, drift)
+    q, r = step(realized.grid.times, realized.values, r0, params.initial_inventory,
+                params.impact)
     return _plan(params, realized.grid, q, r, f"good-{criterion}-ivp", criterion,
                  realized.values[..., -1])
 
@@ -285,7 +310,8 @@ def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
     c3sq = params.risk_ratio**2
     x_t = params.target_inventory
     return _euler_plan(params, realized, expected, quadratic_trajectory,
-                       lambda tt, qq, ss: c3sq * (qq - x_t), "quadratic")
+                       partial(_euler_ivp, drift=lambda tt, qq, ss: c3sq * (qq - x_t)),
+                       "quadratic")
 
 
 def certificate_quadratic(params: MarketParams, realized: SampledPath,
@@ -375,7 +401,7 @@ def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
     c3sq = params.risk_ratio**2
     return _euler_plan(params, realized, expected,
                        lambda p, s, e: time_trajectory(p, s, e, airy),
-                       lambda tt, qq, ss: c3sq * tt * qq, "time")
+                       partial(_euler_ivp, drift=lambda tt, qq, ss: c3sq * tt * qq), "time")
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +444,8 @@ def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
     The drift carries no explicit t factor: differentiating the closed form
     twice gives q'' dt = (c3^2/2) S_t dt - dS/(2 c1^2) directly.
     """
-    half_c3sq = 0.5 * params.risk_ratio**2
     return _euler_plan(params, realized, expected, var_trajectory,
-                       lambda tt, qq, ss: half_c3sq * ss, "var")
+                       partial(_var_ivp, half_c3sq=0.5 * params.risk_ratio**2), "var")
 
 
 # ---------------------------------------------------------------------------

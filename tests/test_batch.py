@@ -93,9 +93,13 @@ def _reference(config):
 
 
 @pytest.mark.parametrize("criterion, block_paths",
-                         [(c, harness.BLOCK_PATHS) for c in CRITERIA] + [("time", 7)])
+                         [(c, 64) for c in CRITERIA] + [("time", 7)]
+                         + [pytest.param("quadratic", None, id="quadratic-budget")])
 def test_run_scenario_equals_per_path_loop(criterion, block_paths, monkeypatch):
-    monkeypatch.setattr(harness, "BLOCK_PATHS", block_paths)
+    # the default budget holds all 130 paths of grid 64 in one block; a budget
+    # of block_paths rows makes blocks of that many paths and an uneven last one
+    if block_paths is not None:
+        monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block_paths * GRID.times.size)
     config = ScenarioConfig(model=MODEL, params=PARAMS, criterion=criterion,
                             grid_steps=GRID.times.size - 1, paths=130, seed=4242,
                             strategy_tags=ALL_STRATEGIES, dump_trajectories=True)

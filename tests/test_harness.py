@@ -2,6 +2,8 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, costs, harness,
-                      pricemodels, strategies)
+from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, cli, costs,
+                      harness, pricemodels, strategies)
 from pathexec.harness import (
     TRAJECTORY_COLUMNS,
     ScenarioConfig,
@@ -95,8 +97,48 @@ def test_run_scenario_samples_each_block_in_one_call(monkeypatch):
     monkeypatch.setattr(pricemodels, "sample_path",
                         lambda model, grid, seeds: blocks.append(len(seeds))
                         or real(model, grid, seeds))
-    run_scenario(basic_config(strategy_tags=("twap",), paths=2 * harness.BLOCK_PATHS + 3))
-    assert blocks == [harness.BLOCK_PATHS, harness.BLOCK_PATHS, 3]
+    config = basic_config(strategy_tags=("twap",))
+    block = harness.BLOCK_ELEMENTS // config.grid().times.size
+    config.paths = 2 * block + 3
+    run_scenario(config)
+    assert blocks == [block, block, 3]
+
+
+def test_run_scenario_memory_stays_under_the_64_path_peak():
+    # the mc-strategies benchmark scenario; 9 MiB sits just above the 8.8 MiB
+    # peak of 64-path blocks that held every plan until the block was scored,
+    # and blocks sized from the element budget must not cost more
+    config = ScenarioConfig(model=ArithmeticBrownian(s0=100.0, sigma=5.0),
+                            params=MarketParams(impact=1.35, risk_aversion=1.15,
+                                                initial_inventory=10_000.0, horizon=1.0),
+                            grid_steps=512, paths=500, seed=1,
+                            strategy_tags=harness.ALL_STRATEGIES)
+    run_scenario(replace(config, paths=1))  # lazy imports and first-call caches
+    tracemalloc.start()
+    try:
+        run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
+
+
+def test_evaluate_block_returns_every_plan_unless_told_which_to_keep():
+    config = basic_config()
+    grid, params = config.grid(), config.params
+    realized = pricemodels.sample_path(config.model, grid, 3)
+    expected = pricemodels.expected_path(config.model, grid)
+    tags = tuple(cli.BACKTEST_STRATEGIES.values())
+    plans, rows = harness.evaluate_block("quadratic", params, realized, expected, tags)
+    assert list(plans) == list(rows) == list(tags)  # backtest emits every plan
+    kept, kept_rows = harness.evaluate_block("quadratic", params, realized, expected, tags,
+                                             keep=("static",))
+    assert list(kept) == ["static"] and list(kept_rows) == list(tags)
+    for tag in tags:
+        cost, terminal_error, _ = rows[tag]
+        assert cost == costs.cost_J("quadratic", params, realized, plans[tag])
+        assert terminal_error == plans[tag].terminal - params.target_inventory
+        assert np.array_equal(kept_rows[tag], rows[tag], equal_nan=True)
 
 
 def test_closed_vs_ivp_inside_harness():

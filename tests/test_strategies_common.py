@@ -6,6 +6,7 @@ forecast.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,42 @@ def test_shifted_start_moves_every_initial_rate(criterion):
     # every closed form reads the start S_0 - E_0 the way its stepper does
     r0_closed = closed(FIG2, shifted, expected, *extra).r.values[:, 0]
     assert r0_closed == pytest.approx(r0_shifted, abs=1e-9)
+
+
+def _indexed_euler_loop(t, s, r0, x0, c1, drift):
+    """Reference stepper that indexes 2-D time-major arrays at each step."""
+    s_time = s.T
+    q = np.empty(s_time.shape)
+    r = np.empty(s_time.shape)
+    q[0], r[0] = x0, r0
+    jump = np.diff(s_time, axis=0) / (2.0 * c1**2)
+    dt = np.diff(t)
+    for i in range(t.size - 1):
+        q[i + 1] = q[i] + r[i] * dt[i]
+        r[i + 1] = r[i] + drift(t[i], q[i], s_time[i]) * dt[i] - jump[i]
+    return q.T, r.T
+
+
+LOOPED_DRIFTS = {
+    "quadratic": lambda tt, qq, ss: FIG2.risk_ratio**2 * (qq - FIG2.target_inventory),
+    "time": lambda tt, qq, ss: FIG2.risk_ratio**2 * tt * qq,
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(LOOPED_DRIFTS))
+def test_ivp_equals_the_indexed_euler_loop(criterion):
+    # no inventory keeps q and r near 0, where a step's sums taken in another
+    # order round differently
+    params = replace(FIG2, initial_inventory=0.0)
+    m = MODELS["abm"]
+    realized = sample_path(m, GRID, np.arange(40))
+    _, ivp, extra = PAIRS[criterion]
+    plan = ivp(params, realized, expected_path(m, GRID), *extra)
+    q, r = _indexed_euler_loop(GRID.times, realized.values, plan.r.values[:, 0],
+                               params.initial_inventory, params.impact,
+                               LOOPED_DRIFTS[criterion])
+    assert plan.q.values.tobytes() == q.tobytes()
+    assert plan.r.values.tobytes() == r.tobytes()
 
 
 def test_every_grid_check_raises_grid_mismatch():

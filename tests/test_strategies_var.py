@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pathexec import (
     resample,
 )
 from pathexec.pricemodels import expected_path, sample_path
+from pathexec.strategies import _euler_ivp
 
 PARAMS = MarketParams(impact=1.35, risk_aversion=1.15,
                       initial_inventory=10_000.0, horizon=1.0)
@@ -115,3 +117,37 @@ def test_certificate_xi_matches_formula(grid, brownian_path):
     f_t = abs(2 * c1**2 * (0.0 - 10_000.0) / 1.0 + 2 * c1**2 * k
               + c2**2 * np.trapezoid(brownian_path.values, t))
     assert plan.certificate.xi == pytest.approx(1.0 / f_t, rel=1e-9)
+
+
+def _var_ivp_cases():
+    # with no inventory to sell the rate stays near 0, where a sum taken in
+    # another order rounds differently; at x0 = 10^4 most reorderings round alike
+    flat = replace(PARAMS, initial_inventory=0.0)
+    abm = ArithmeticBrownian(s0=100.0, sigma=5.0)
+    uniform = TimeGrid.uniform(1.0, 512)
+    rng = np.random.default_rng(11)
+    uneven = TimeGrid(np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 300)), [1.0])))
+    seeds = np.random.SeedSequence(31).generate_state(40, np.uint64)
+    return {
+        "block": (flat, sample_path(abm, uniform, seeds), expected_path(abm, uniform)),
+        "one-path": (flat, sample_path(abm, uniform, 5), expected_path(abm, uniform)),
+        "non-uniform-grid": (flat, sample_path(abm, uneven, seeds[:9]),
+                             expected_path(abm, uneven)),
+        "risk-neutral": (replace(flat, risk_aversion=0.0), sample_path(abm, uniform, seeds),
+                         expected_path(abm, uniform)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_var_ivp_cases()))
+def test_var_ivp_equals_the_per_step_euler_loop(case):
+    # the reference is the loop the quadratic and time steppers run, with the
+    # var drift (c3^2/2) S_t; the two running sums must give its bytes
+    params, realized, expected = _var_ivp_cases()[case]
+    plan = good_exec_var_ivp(params, realized, expected)
+    half_c3sq = 0.5 * params.risk_ratio**2
+    q, r = _euler_ivp(realized.grid.times, realized.values, plan.r.values[..., 0],
+                      params.initial_inventory, params.impact,
+                      lambda tt, qq, ss: half_c3sq * ss)
+    assert plan.q.values.shape == plan.r.values.shape == realized.values.shape
+    assert plan.q.values.tobytes() == q.tobytes()
+    assert plan.r.values.tobytes() == r.tobytes()
