@@ -462,9 +462,9 @@ def _build_model(kv: dict[str, str]) -> pricemodels.PriceModel:
     kind = kv.get("model", "arithmetic-bm")
     get = lambda key, dflt=None: kv.get(f"model.{key}", dflt)
 
-    def level(key: str) -> float:
-        # a level becomes a callable that no model field check can see
-        value = float(get(key, "100.0"))
+    def finite(key: str, default: str = "100.0") -> float:
+        # a level hides in a callable and a mark size in the mark law: name the config key
+        value = float(get(key, default))
         if not math.isfinite(value):
             raise ConfigError(f"model.{key} must be finite, got {value}")
         return value
@@ -484,17 +484,17 @@ def _build_model(kv: dict[str, str]) -> pricemodels.PriceModel:
                 maturity=float(get("maturity", kv.get("params.horizon", "1.0"))),
             )
         if kind == "ou-jump-diffusion":
-            log_level = math.log(level("target_price" if "model.target_price" in kv else "s0"))
+            log_level = math.log(finite("target_price" if "model.target_price" in kv else "s0"))
             return pricemodels.OuJumpDiffusion(
                 m=lambda t, lv=log_level: np.full_like(np.asarray(t, dtype=float), lv),
                 alpha=float(get("alpha", "5.0")),
                 sigma=float(get("sigma", "0.02")),
                 lam=float(get("lambda", "0.0")),
-                mark_sampler=pricemodels.two_point_marks(float(get("jump_size", "0.01"))),
+                mark_sampler=pricemodels.two_point_marks(finite("jump_size", "0.01")),
             )
         if kind == "deterministic":
             return pricemodels.DeterministicPrice(
-                fn=lambda t, lv=level("s0"): np.full_like(np.asarray(t, dtype=float), lv))
+                fn=lambda t, lv=finite("s0"): np.full_like(np.asarray(t, dtype=float), lv))
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"bad model parameters: {exc}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")

@@ -1,10 +1,10 @@
 """Price-process samplers and their deterministic moment functions.
 
 Each model has one block sampler, with one realization per seed in a
-``(paths, N)`` block (a single seed is the one-path case), plus the expected
-path ``t -> E[S_t]`` and the variance path ``t -> Var(S_t)``.  Sampling uses
-exact Gaussian transition laws (no Euler stepping of SDEs), so the only
-discretization left in the system is the grid itself.
+``(paths, N)`` block (a single seed is the one-path case), plus the exact
+moments of the sampled process: ``t -> E[S_t]`` and ``t -> Var(S_t)``.
+Sampling uses exact Gaussian transition laws (no Euler stepping of SDEs), so
+the only discretization left in the system is the grid itself.
 
 Seed contract: one 64-bit seed per path, drawn in seed order; the diffusion
 and jump components draw from sub-streams split off that seed in a fixed
@@ -15,7 +15,8 @@ block row equals its one-seed path bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable, Union
 
 import numpy as np
@@ -35,11 +36,6 @@ __all__ = [
     "expected_path",
     "variance_path",
 ]
-
-
-# Paths the jump-diffusion variance samples together.  Each row draws from its
-# own streams, so results do not depend on it; it bounds a block's memory.
-SAMPLE_BLOCK = 256
 
 
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -64,15 +60,21 @@ def _require_finite(model, *fields: str) -> None:
                               f"got {getattr(model, name)}")
 
 
-def two_point_marks(size: float) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Symmetric two-point mark family: +/- size with equal probability."""
-    if size < 0:
-        raise DomainError("mark size must be >= 0")
+@dataclass(frozen=True)
+class TwoPointMarks:
+    """Symmetric two-point mark law: +/- size with equal probability."""
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return size * (2.0 * rng.integers(0, 2, size=n) - 1.0)
+    size: float
 
-    return sampler
+    def __post_init__(self):
+        if not 0.0 <= self.size < math.inf:
+            raise DomainError(f"TwoPointMarks.size must be finite and >= 0, got {self.size}")
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.size * (2.0 * rng.integers(0, 2, size=n) - 1.0)
+
+
+two_point_marks = TwoPointMarks  # the public name
 
 
 @dataclass(frozen=True)
@@ -124,26 +126,22 @@ class ExponentialMartingale:
 class OuJumpDiffusion:
     """High-frequency mean-reverting jump diffusion on the log scale.
 
-    S_t = exp(m(t) + Y_t + N_t) with Y an Ornstein-Uhlenbeck factor started
-    at zero (dY = -alpha Y dt + sigma dW, exact transitions) and N a compound
-    Poisson process with i.i.d. marks symmetric around zero.  Poisson event
-    times are snapped left onto the sampling grid, keeping the sampled path
-    cadlag on the grid.
-
-    The expected path is reported as exp(m(t)): the reversion target, which
-    is the forecast the liquidator trades against.  This is the forecast
-    convention, not the exact first moment of the exponential (the OU and
-    jump convexity corrections are deliberately not folded in).
+    S_t = exp(m(t) + Y_t + N_t): Y is an Ornstein-Uhlenbeck factor started at
+    zero (dY = -alpha Y dt + sigma dW, exact transitions), N a compound Poisson
+    process with marks +/- a whose event times snap left onto the grid, so the
+    sampled path is cadlag on the grid.  Both moments are exact on the grid:
+    Y_k has variance v_k = sigma^2 (1 - exp(-2 alpha t_k)) / (2 alpha), and N
+    at t_k sums the events before t_(k+1) (all of [0, T] at the last point),
+    so its mean count is Lambda_k = lam t_(k+1), and S_0 is random once
+    lam > 0.  With c = cosh a - 1, E[S] = exp(m + v/2 + Lambda c) and
+    Var[S] = E[S]^2 expm1(v + 2 Lambda c cosh a).
     """
 
     m: Callable[[np.ndarray], np.ndarray]
     alpha: float
     sigma: float
     lam: float
-    mark_sampler: Callable[[np.random.Generator, int], np.ndarray] = field(
-        default_factory=lambda: two_point_marks(0.01)
-    )
-    variance_mc_paths: int = 4096
+    mark_sampler: TwoPointMarks = TwoPointMarks(0.01)
 
     def __post_init__(self):
         _require_finite(self, "alpha", "sigma", "lam")
@@ -151,8 +149,8 @@ class OuJumpDiffusion:
             raise DomainError("mean-reversion speed must be > 0")
         if self.sigma < 0 or self.lam < 0:
             raise DomainError("sigma and jump intensity must be >= 0")
-        if self.variance_mc_paths < 2:
-            raise DomainError("variance estimation needs >= 2 paths")
+        if not isinstance(self.mark_sampler, TwoPointMarks):
+            raise DomainError("OuJumpDiffusion's moments need two_point_marks(size) marks")
 
     @property
     def s0(self) -> float:
@@ -204,21 +202,21 @@ class OuJumpDiffusion:
         y += n
         return np.exp(y, out=y)
 
-    def _mean(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(self.m(t))
+    def _moment(self, t: np.ndarray, name: str) -> np.ndarray:
+        """E[S_t] or Var(S_t), as ``name`` says, on the sampled grid t."""
+        v = -self.sigma**2 * np.expm1(-2.0 * self.alpha * t) / (2.0 * self.alpha)
+        count = self.lam * np.append(t[1:], t[-1])
+        c = 2.0 * math.sinh(0.5 * self.mark_sampler.size) ** 2  # cosh a - 1, without cancelling
+        log_mean = self.m(t) + 0.5 * v + count * c
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (np.exp(log_mean) if name == "E[S_t]" else
+                   np.exp(2.0 * log_mean) * np.expm1(v + 2.0 * count * c * (1.0 + c)))
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"{name} of {type(self).__name__} overflows a double")
+        return out
 
-    def _variance(self, t: np.ndarray) -> np.ndarray:
-        # no closed form once jumps and the exponential interact: Monte Carlo
-        # with a fixed internal sub-stream, so the estimate is reproducible
-        grid, n = TimeGrid(t), self.variance_mc_paths
-        samples = np.empty((n, t.size))
-        seeds = np.random.SeedSequence(0x0FACADE).generate_state(n, np.uint64)
-        for lo in range(0, n, SAMPLE_BLOCK):
-            samples[lo:lo + SAMPLE_BLOCK] = self._sample_block(grid, seeds[lo:lo + SAMPLE_BLOCK])
-        # samples.var(axis=0, ddof=1), in place: no second block-sized temporary
-        samples -= samples.sum(axis=0) / n
-        samples *= samples
-        return samples.sum(axis=0) / (n - 1)
+    _mean = partialmethod(_moment, name="E[S_t]")
+    _variance = partialmethod(_moment, name="Var(S_t)")
 
 
 @dataclass(frozen=True)
@@ -317,5 +315,5 @@ def expected_path(model: PriceModel, grid: TimeGrid) -> SampledPath:
 
 
 def variance_path(model: PriceModel, grid: TimeGrid) -> SampledPath:
-    """The trajectory t -> Var(S_t); Monte Carlo estimated for the jump model."""
+    """The trajectory t -> Var(S_t)."""
     return SampledPath(grid, model._variance(grid.times))

@@ -94,6 +94,7 @@ def test_non_finite_model_parameter_exit_code(tmp_path, capsys):
     ("ou-jump-diffusion", "model.target_price", "nan"),
     ("ou-jump-diffusion", "model.s0", "nan"),
     ("ou-jump-diffusion", "model.target_price", "inf"),
+    ("ou-jump-diffusion", "model.jump_size", "nan"),
     ("deterministic", "model.s0", "nan"),
 ])
 def test_non_finite_model_level_exit_code(tmp_path, capsys, model, key, value):
@@ -128,6 +129,16 @@ def test_cost_overflow_at_high_urgency_exit_code(tmp_path, capsys, c3):
                    .replace("good-quadratic-closed, static, twap", "good-time-closed"))
     assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert f"c3*T = {c3:g}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jump_model_moment_overflow_exit_code(tmp_path, capsys):
+    # lam (cosh 2 - 1) T ~ 2.8e3: the forecast E[S_t] passes the largest double
+    bad = tmp_path / "jumpy.cfg"
+    bad.write_text(CONFIG.replace("model = arithmetic-bm", "model = ou-jump-diffusion")
+                   .replace("model.sigma = 2.0", "model.lambda = 1000\nmodel.jump_size = 2"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "E[S_t] of OuJumpDiffusion overflows a double" in capsys.readouterr().err
 
 
 def _history_csv(path):

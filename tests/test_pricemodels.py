@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from pathexec import (
     ArithmeticBrownian,
@@ -14,7 +15,7 @@ from pathexec import (
     p_variation,
     two_point_marks,
 )
-from pathexec.pricemodels import SAMPLE_BLOCK, expected_path, sample_path, variance_path
+from pathexec.pricemodels import expected_path, sample_path, variance_path
 
 GRID = TimeGrid.uniform(1.0, 128)
 
@@ -104,38 +105,52 @@ def test_mark_symmetry_and_mean_jump_component():
     assert z < 4.0
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        ArithmeticBrownian(s0=100.0, sigma=2.0),
-        ExponentialMartingale(s0=100.0, sigma=0.3),
-        BrownianBridge(s0=103.893, face_value=100.0, sigma=1.1642, maturity=1.0),
-        OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0),
-    ],
-)
-def test_mc_mean_matches_expected_path(model):
+NON_UNIFORM = TimeGrid(np.concatenate(([0.0], np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90)),
+                                       [1.0])))
+# heavy jumps: exp(m) alone misses this model's mean by z ~ 32 at 10^4 paths
+HEAVY_JUMPS = OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.2, lam=50.0,
+                              mark_sampler=two_point_marks(0.05))
+# pure jumps on a 4-step grid: a mean count of lam t_k in place of the left
+# snap's lam t_(k+1) moves the mean by 14%, about 15 standard errors
+COARSE_JUMPS = (OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.0, lam=4.0,
+                                mark_sampler=two_point_marks(0.5)), TimeGrid.uniform(1.0, 4))
+OU_MOMENT_CASES = [
+    pytest.param(HEAVY_JUMPS, GRID, id="ou-heavy-jumps-uniform"),
+    pytest.param(HEAVY_JUMPS, NON_UNIFORM, id="ou-heavy-jumps-non-uniform"),
+    pytest.param(*COARSE_JUMPS, id="ou-pure-jumps-coarse"),
+]
+
+
+@pytest.mark.parametrize("model, grid", [
+    pytest.param(ArithmeticBrownian(s0=100.0, sigma=2.0), GRID, id="model0"),
+    pytest.param(ExponentialMartingale(s0=100.0, sigma=0.3), GRID, id="model1"),
+    pytest.param(BrownianBridge(s0=103.893, face_value=100.0, sigma=1.1642, maturity=1.0), GRID,
+                 id="model2"),
+    pytest.param(OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0), GRID,
+                 id="model3"),
+] + OU_MOMENT_CASES)
+def test_mc_mean_matches_expected_path(model, grid):
     n = 10_000
-    paths = mc_paths(model, n)
-    mu = expected_path(model, GRID).values
+    paths = mc_paths(model, n, grid=grid)
+    mu = expected_path(model, grid).values
     se = paths.std(axis=0, ddof=1) / math.sqrt(n)
     z = np.abs(paths.mean(axis=0) - mu) / np.where(se > 0, se, 1.0)
     assert np.max(z[1:]) < 4.0
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        ArithmeticBrownian(s0=100.0, sigma=2.0),
-        BrownianBridge(s0=103.893, face_value=100.0, sigma=1.1642, maturity=1.0),
-    ],
-)
-def test_mc_variance_at_midpoint(model):
+@pytest.mark.parametrize("model, grid", [
+    pytest.param(ArithmeticBrownian(s0=100.0, sigma=2.0), GRID, id="model0"),
+    pytest.param(BrownianBridge(s0=103.893, face_value=100.0, sigma=1.1642, maturity=1.0), GRID,
+                 id="model1"),
+] + OU_MOMENT_CASES)
+def test_mc_variance_at_midpoint(model, grid):
     n = 10_000
-    paths = mc_paths(model, n)
-    idx = GRID.index_of(0.5)
-    mc_var = paths[:, idx].var(ddof=1)
-    th = variance_path(model, GRID).values[idx]
-    assert mc_var == pytest.approx(th, rel=0.10)
+    x = mc_paths(model, n, grid=grid)[:, len(grid) // 2]
+    mc_var = x.var(ddof=1)
+    # standard error of the sample variance, from the sample's fourth moment
+    se = math.sqrt(max(np.mean((x - x.mean()) ** 4) - mc_var**2 * (n - 3) / (n - 1), 0.0) / n)
+    th = variance_path(model, grid).values[len(grid) // 2]
+    assert abs(mc_var - th) < 4.0 * se
 
 
 def test_sampled_paths_have_finite_pvar_estimate():
@@ -145,15 +160,6 @@ def test_sampled_paths_have_finite_pvar_estimate():
     ):
         s = sample_path(model, GRID, 12)
         assert math.isfinite(p_variation(s, 2.5, method="lower"))
-
-
-def test_ou_variance_path_is_mc_and_reproducible():
-    m = OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=5.0,
-                        variance_mc_paths=256)
-    v1 = variance_path(m, GRID).values
-    v2 = variance_path(m, GRID).values
-    assert np.array_equal(v1, v2)
-    assert np.all(v1[1:] > 0.0)
 
 
 def _reference_ou_jump_path(model, grid, seed):
@@ -213,23 +219,16 @@ def _reference_path(model, grid, seed):
     return model.s0 * np.exp(model.sigma * w - 0.5 * model.sigma**2 * t)
 
 
-NON_UNIFORM = TimeGrid(np.concatenate(([0.0], np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 90)),
-                                       [1.0])))
-
-
 @pytest.mark.parametrize("kw, grid", [
-    pytest.param(dict(variance_mc_paths=SAMPLE_BLOCK + 44), GRID, id="partial-block"),
-    pytest.param(dict(lam=0.0, variance_mc_paths=64), GRID, id="no-jumps"),
-    pytest.param(dict(sigma=0.0, variance_mc_paths=70), GRID, id="no-diffusion"),
-    pytest.param(dict(lam=200.0, variance_mc_paths=65), GRID, id="dense-jumps"),
-    pytest.param(dict(variance_mc_paths=100), NON_UNIFORM, id="non-uniform-grid"),
+    pytest.param(dict(), GRID, id="partial-block"),
+    pytest.param(dict(lam=0.0), GRID, id="no-jumps"),
+    pytest.param(dict(sigma=0.0), GRID, id="no-diffusion"),
+    pytest.param(dict(lam=200.0), GRID, id="dense-jumps"),
+    pytest.param(dict(), NON_UNIFORM, id="non-uniform-grid"),
 ])
 def test_ou_jump_block_sampler_matches_per_path_loop(kw, grid):
     model = OuJumpDiffusion(**{**dict(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0,
                                       mark_sampler=two_point_marks(0.02)), **kw})
-    seeds = np.random.SeedSequence(0x0FACADE).generate_state(model.variance_mc_paths, np.uint64)
-    samples = np.array([_reference_ou_jump_path(model, grid, int(s)) for s in seeds])
-    assert variance_path(model, grid).values.tobytes() == samples.var(axis=0, ddof=1).tobytes()
     for seed in (0, 12, 2**63 + 5):
         assert (sample_path(model, grid, seed).values.tobytes()
                 == _reference_ou_jump_path(model, grid, seed).tobytes())
@@ -282,7 +281,58 @@ def test_parameter_validation():
                                          lam=math.nan), "alpha", id="ou-alpha"),
     pytest.param(lambda: OuJumpDiffusion(m=flat_log(1.0), alpha=5.0, sigma=0.1, lam=math.nan),
                  "lam", id="ou-lam"),
+    pytest.param(lambda: two_point_marks(math.nan), "size", id="marks-size"),
 ])
 def test_non_finite_parameters_name_the_field(build, field):
     with pytest.raises(DomainError, match=rf"\.{field} must be finite"):
         build()
+
+
+def test_ou_jump_moments_need_two_point_marks():
+    with pytest.raises(DomainError, match="two_point_marks"):
+        OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0,
+                        mark_sampler=lambda rng, n: rng.standard_normal(n))
+    with pytest.raises(DomainError, match="size must be finite and >= 0"):
+        two_point_marks(-0.01)
+
+
+def test_ou_jump_moments_match_their_component_laws():
+    grid = TimeGrid.uniform(1.0, 8)
+    flat = OuJumpDiffusion(m=flat_log(120.0), alpha=3.0, sigma=0.0, lam=0.0)
+    assert np.array_equal(expected_path(flat, grid).values, np.exp(flat_log(120.0)(grid.times)))
+    assert np.all(variance_path(flat, grid).values == 0.0)
+    # diffusion only: the moments of a lognormal with the OU factor's variance
+    ou = OuJumpDiffusion(m=flat_log(100.0), alpha=4.0, sigma=0.3, lam=0.0)
+    v = 0.3**2 * (1.0 - np.exp(-8.0 * grid.times)) / 8.0
+    assert np.allclose(expected_path(ou, grid).values, 100.0 * np.exp(v / 2.0),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(variance_path(ou, grid).values, 100.0**2 * np.exp(v) * np.expm1(v),
+                       rtol=1e-13, atol=0.0)
+    # jumps only: sum over the Poisson count seen under the left snap,
+    # E[S^k] = 100^k sum_j P(j) cosh(k a)^j
+    jumps = OuJumpDiffusion(m=flat_log(100.0), alpha=4.0, sigma=0.0, lam=3.0,
+                            mark_sampler=two_point_marks(0.5))
+    j = np.arange(80)[:, None]
+    law = poisson.pmf(j, 3.0 * np.append(grid.times[1:], 1.0))
+    e1 = 100.0 * (law * math.cosh(0.5) ** j).sum(axis=0)
+    e2 = 100.0**2 * (law * math.cosh(1.0) ** j).sum(axis=0)
+    assert np.allclose(expected_path(jumps, grid).values, e1, rtol=1e-13, atol=0.0)
+    assert np.allclose(variance_path(jumps, grid).values, e2 - e1**2, rtol=1e-11, atol=0.0)
+    # tiny marks: cosh a - 1 must not cancel, Var(S_t) ~ E[S_t]^2 Lambda a^2
+    tiny = OuJumpDiffusion(m=flat_log(100.0), alpha=4.0, sigma=0.0, lam=3.0,
+                           mark_sampler=two_point_marks(1e-6))
+    assert np.allclose(variance_path(tiny, grid).values,
+                       100.0**2 * 3.0 * np.append(grid.times[1:], 1.0) * 1e-12,
+                       rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("moment, name", [(expected_path, r"E\[S_t\]"),
+                                          (variance_path, r"Var\(S_t\)")],
+                         ids=["mean", "variance"])
+def test_ou_jump_moment_overflow_is_a_domain_error(moment, name):
+    # lam (cosh 2 - 1) T ~ 2.8e3: the mean's exponent passes log(max double)
+    model = OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.02, lam=1000.0,
+                            mark_sampler=two_point_marks(2.0))
+    with pytest.raises(DomainError, match=rf"^{name} of OuJumpDiffusion overflows"):
+        moment(model, GRID)

@@ -1,4 +1,5 @@
-"""What the three criteria share: the Euler steppers' start and the grid check.
+"""What the three criteria share: the Euler steppers' start, the grid check and
+an unbiased terminal inventory when the forecast is the exact E[S_t].
 
 Each ``good_exec_*_ivp`` starts from its own closed form's rate at t = 0,
 shifted by -(S_0 - E_0)/(2 c1^2) when the realized path starts off the
@@ -17,6 +18,7 @@ from pathexec import (
     DomainError,
     GridMismatchError,
     MarketParams,
+    OuJumpDiffusion,
     SampledPath,
     TimeGrid,
     airy_pair,
@@ -34,6 +36,7 @@ from pathexec import (
     static_optimal,
     terminal_penalty_optimal,
     twap,
+    two_point_marks,
 )
 from pathexec.pricemodels import expected_path, sample_path
 from pathexec.strategies import ExecutionPlan, alt_terminal_K, quadratic_with_terminal_constant
@@ -168,3 +171,18 @@ def test_every_builder_rejects_a_grid_off_the_market_horizon():
     for call in calls:
         with pytest.raises(DomainError, match="horizon"):
             call()
+
+
+@pytest.mark.parametrize("criterion", sorted(PAIRS))
+def test_terminal_inventory_unbiased_on_the_jump_model(criterion):
+    # E[q_T] = x_T needs the true E[S_t]; with exp(m) as the forecast this
+    # heavy-jump model gives z ~ -16 for every criterion at this seed
+    model = OuJumpDiffusion(m=lambda t: np.full_like(np.asarray(t, dtype=float), math.log(100.0)),
+                            alpha=5.0, sigma=0.2, lam=50.0, mark_sampler=two_point_marks(0.05))
+    expected = expected_path(model, GRID)
+    seeds = np.random.SeedSequence(2019).generate_state(10_000, np.uint64)
+    build, _, extra = PAIRS[criterion]
+    q_t = np.concatenate([build(FIG2, sample_path(model, GRID, block), expected, *extra).terminal
+                          for block in np.split(seeds, 4)])
+    stderr = q_t.std(ddof=1) / math.sqrt(q_t.size)
+    assert abs(q_t.mean() - FIG2.target_inventory) <= 3.0 * stderr
