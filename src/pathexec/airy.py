@@ -4,7 +4,8 @@ The linearly time-weighted risk criterion produces inventory trajectories
 built from the independent solutions Ai, Bi of u'' = x u on [0, x_max], with
 x_max = c3^(2/3) T.  Values come from ``scipy.special.airy`` (Amos' Bessel
 routines).  They keep the decaying solution Ai, which forward integration of
-the ODE loses, within about 1e-13 relative of its Bessel-K form.
+the ODE loses, within about 1e-13 relative of its Bessel-K form.  scipy.special
+is imported at the first evaluation, so ``import pathexec`` loads numpy only.
 
 The trajectory formulas divide by Ai^2, so the supported range is the x_max
 for which 1/Ai(x_max)^2 is a finite double: 0 < x_max <= 65.398 (about
@@ -18,11 +19,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
 __all__ = ["AiryPair", "airy_pair"]
+
+
+def _airy(x) -> np.ndarray:
+    """Rows ai, dai, bi, dbi at x; the one place scipy.special is imported."""
+    from scipy import special
+
+    return np.asarray(special.airy(x))
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,7 @@ class AiryPair:
         slack = 1e-9 * max(1.0, self.x_max)
         if np.any(x < -slack) or np.any(x > self.x_max + slack):
             raise DomainError(f"argument outside constructed range [0, {self.x_max}]")
-        return np.asarray(special.airy(x))  # rows ai, dai, bi, dbi
+        return _airy(x)
 
     def ai(self, x):
         return self._evaluate(x)[0]
@@ -62,7 +69,7 @@ class AiryPair:
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v = self._evaluate(x)
-        f = {k: np.asarray(special.airy(x + k * h)) for k in (-2, -1, 1, 2)}
+        f = {k: _airy(x + k * h) for k in (-2, -1, 1, 2)}
         d2 = ((8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * h))[[1, 3]]
         return np.maximum(np.abs(d2[0] - x * v[0]), np.abs(d2[1] - x * v[2]))
 
@@ -77,7 +84,7 @@ def airy_pair(x_max: float, tol: float = 1e-9) -> AiryPair:
         raise DomainError("tolerance must lie in (0, 1e-4]")
     if x_max <= 0.0:
         raise DomainError("need x_max > 0")
-    ai_sq = float(special.airy(x_max)[0]) ** 2
+    ai_sq = float(_airy(x_max)[0]) ** 2
     if not (ai_sq > 0.0 and math.isfinite(1.0 / ai_sq)):
         raise DomainError(f"x_max = c3^(2/3)*T = {x_max:g} is past the supported urgency "
                           "range (x_max <= 65.398): 1/Ai(x_max)^2 overflows")

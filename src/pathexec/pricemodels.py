@@ -152,10 +152,6 @@ class OuJumpDiffusion:
         if not isinstance(self.mark_sampler, TwoPointMarks):
             raise DomainError("OuJumpDiffusion's moments need two_point_marks(size) marks")
 
-    @property
-    def s0(self) -> float:
-        return float(np.exp(self.m(np.zeros(1))[0]))
-
     def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
         """Each path draws from its own two sub-streams: diffusion, then jumps."""
         t = grid.times

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pathexec
 from pathexec.cli import main
 from pathexec.errors import ConfigError
 from pathexec.harness import load_config
@@ -215,3 +218,40 @@ def test_backtest_verb(config_file, tmp_path, capsys):
         "trajectory_0000.csv":
             "74849eb674f75847802cb43eff390711acfeb53596d66a855e7d1a8812de32c4",
     }
+
+
+NO_TIME_TAGS = ("good-quadratic-closed, good-quadratic-ivp, good-var-closed, good-var-ivp, "
+                "static, aposteriori, terminal-penalty, twap")
+
+
+def _scipy_loaded_by(code: str, *args: str) -> list[str]:
+    """Run code in a fresh interpreter; the scipy modules it left in sys.modules."""
+    src = os.path.dirname(os.path.dirname(pathexec.__file__))
+    code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.'))))")
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_and_load_config_leave_scipy_unloaded(config_file):
+    # each scipy submodule is imported where it is first used
+    code = "import sys, pathexec, pathexec.cli\npathexec.harness.load_config(sys.argv[1])"
+    assert _scipy_loaded_by(code, config_file) == []
+
+
+@pytest.mark.parametrize("tags, loaded", [
+    (NO_TIME_TAGS, False),
+    (NO_TIME_TAGS + ", good-time-closed", True),
+], ids=["quadratic-var-baselines", "with-good-time"])
+def test_montecarlo_imports_scipy_special_only_for_the_time_criterion(tmp_path, tags, loaded):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(CONFIG.replace("good-quadratic-closed, static, twap", tags))
+    code = ("import sys\nfrom pathexec.cli import main\n"
+            "if main(['montecarlo', '--config', sys.argv[1], '--out', sys.argv[2]]) != 0:\n"
+            "    sys.exit('montecarlo exited nonzero')")
+    modules = _scipy_loaded_by(code, str(cfg), str(tmp_path / "mc"))
+    assert ("scipy.special" in modules) == loaded
+    if not loaded:
+        assert modules == []

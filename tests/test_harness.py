@@ -459,7 +459,7 @@ def test_load_config_ou_jump_model(tmp_path):
     )
     config = load_config(str(cfg))
     assert isinstance(config.model, OuJumpDiffusion)
-    assert config.model.s0 == pytest.approx(120.0)
+    assert np.exp(config.model.m(np.zeros(1))[0]) == pytest.approx(120.0)
     artifact = run_scenario(config)
     assert artifact.path_count == 2
 

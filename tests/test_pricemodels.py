@@ -77,7 +77,7 @@ def test_oujump_noise_off_reduces_to_target():
     m = OuJumpDiffusion(m=flat_log(120.0), alpha=3.0, sigma=0.0, lam=0.0)
     s = sample_path(m, GRID, 7)
     assert np.allclose(s.values, 120.0)
-    assert m.s0 == pytest.approx(120.0)
+    assert np.exp(m.m(np.zeros(1))[0]) == pytest.approx(120.0)
 
 
 def test_oujump_jump_substream_isolated_from_diffusion():
