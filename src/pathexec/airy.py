@@ -6,6 +6,8 @@ x_max = c3^(2/3) T.  Values come from ``scipy.special.airy`` (Amos' Bessel
 routines).  They keep the decaying solution Ai, which forward integration of
 the ODE loses, within about 1e-13 relative of its Bessel-K form.  scipy.special
 is imported at the first evaluation, so ``import pathexec`` loads numpy only.
+One call returns all four rows, which ``AiryPair`` keeps, read-only, for the
+last few evaluation grids.
 
 The trajectory formulas divide by Ai^2, so the supported range is the x_max
 for which 1/Ai(x_max)^2 is a finite double: 0 < x_max <= 65.398 (about
@@ -15,6 +17,7 @@ DomainError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +35,15 @@ def _airy(x) -> np.ndarray:
     return np.asarray(special.airy(x))
 
 
+@functools.lru_cache(maxsize=4)
+def _airy_rows(data: bytes, shape: tuple) -> np.ndarray:
+    """Read-only ``_airy`` of the float array with these bytes and shape: one
+    scipy call serves all four rows, and every later path on the grid."""
+    rows = _airy(np.frombuffer(data).reshape(shape))
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class AiryPair:
     """Ai, Bi, Ai', Bi' on [0, x_max]."""
@@ -43,7 +55,7 @@ class AiryPair:
         slack = 1e-9 * max(1.0, self.x_max)
         if np.any(x < -slack) or np.any(x > self.x_max + slack):
             raise DomainError(f"argument outside constructed range [0, {self.x_max}]")
-        return _airy(x)
+        return _airy_rows(x.tobytes(), x.shape)
 
     def ai(self, x):
         return self._evaluate(x)[0]

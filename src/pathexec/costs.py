@@ -12,6 +12,7 @@ perturbations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -44,11 +45,11 @@ CRITERIA = {
 AUDIT_TOL_SCALE = 1e-9
 
 
-def _level_weights(criterion: str, params: MarketParams, t: np.ndarray):
+def _level_weights(criterion: str, risk_aversion: float, t: np.ndarray):
     """Weights (a, b) of the running cost r S + c1^2 r^2 + a q^2 + b q S."""
     if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}")
-    return CRITERIA[criterion](params.risk_aversion**2, t)
+    return CRITERIA[criterion](risk_aversion**2, t)
 
 
 def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
@@ -59,7 +60,7 @@ def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
     """
     t = require_shared_grid(realized, plan).times
     s, q, r = realized.values, plan.q.values, plan.r.values
-    a, b = _level_weights(criterion, params, t)
+    a, b = _level_weights(criterion, params.risk_aversion, t)
     f = r * s + params.impact**2 * r**2 + a * q**2
     return trapezoid(f + b * q * s if b else f, t)
 
@@ -78,7 +79,7 @@ def pathwise_f_weight(criterion: str, params: MarketParams, eta: SampledPath,
     t = eta.grid.times
     # central differences in the interior, one-sided at the ends
     d_eta = rate if rate is not None else np.gradient(eta.values, t)
-    a, _ = _level_weights(criterion, params, t)
+    a, _ = _level_weights(criterion, params.risk_aversion, t)
     sq = a * eta.values**2 + params.impact**2 * d_eta**2
     return math.sqrt(max(trapezoid(sq, t), 0.0))
 
@@ -119,6 +120,39 @@ def _perturbation_matrix(count: int, seed: int, scale: float):
     return coeffs, bump_rng.uniform(-1.2, 1.2, count)
 
 
+def _read_only(*values):
+    """``values`` as a tuple, each array among them made read-only."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return values
+
+
+@functools.lru_cache(maxsize=4)
+def _sine_basis(horizon: float, times: bytes):
+    """The b_k, their derivatives and the trapezoid weights on the grid ``times``,
+    read-only and shared by every path and criterion (about 1.1 MB at 4097 points)."""
+    t = np.frombuffer(times)
+    k = np.arange(1, N_SINE_MODES + 1)[:, None]
+    phase = k * (np.pi * t / horizon)
+    basis = np.vstack([np.sin(phase), t / horizon])
+    basis[:N_SINE_MODES, -1] = 0.0  # sin(k pi) exactly, not float dust
+    dbasis = np.vstack([(k * np.pi / horizon) * np.cos(phase), np.full_like(t, 1.0 / horizon)])
+    dt = np.diff(t)
+    w = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))  # trapezoid weights
+    return _read_only(basis, dbasis, w)
+
+
+@functools.lru_cache(maxsize=12)  # the three criteria on each of 4 grids
+def _gram(criterion: str, impact: float, risk_aversion: float, horizon: float, times: bytes):
+    """Level weights (a, b) and the Gram matrix G of ``_quadratic_form``, read-only."""
+    a, b = _level_weights(criterion, risk_aversion, np.frombuffer(times))
+    basis, dbasis, w = _sine_basis(horizon, times)
+    c1sq = impact**2
+    gram = (basis * (w * a)) @ basis.T + c1sq * (dbasis * w) @ dbasis.T
+    return _read_only(a, b, gram)
+
+
 def _quadratic_form(criterion: str, params: MarketParams, realized: SampledPath,
                     plan: ExecutionPlan):
     """The trapezoid cost in the coefficients c of e = sum_k c_k b_k.
@@ -128,21 +162,15 @@ def _quadratic_form(criterion: str, params: MarketParams, realized: SampledPath,
     rounding J(q + e) - J(q) = ell . c + c G c, and G is also the F-weight's
     Gram matrix, |e|_F^2 = c G c.  ``ell`` projects the first variation
     (S + 2 c1^2 r) e' + (2 a q + b S) e of the plan's own q, r and realized S.
-    Returns ell, G and b_k(T).
+    Returns ell, G and b_k(T).  Only ``ell`` depends on the path; the rest is
+    computed once per (criterion, c1, c2, T, grid).
     """
-    t, s, horizon = realized.grid.times, realized.values, params.horizon
-    k = np.arange(1, N_SINE_MODES + 1)[:, None]
-    phase = k * (np.pi * t / horizon)
-    basis = np.vstack([np.sin(phase), t / horizon])
-    basis[:N_SINE_MODES, -1] = 0.0  # sin(k pi) exactly, not float dust
-    dbasis = np.vstack([(k * np.pi / horizon) * np.cos(phase), np.full_like(t, 1.0 / horizon)])
-    dt = np.diff(t)
-    w = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))  # trapezoid weights
+    s, times = realized.values, realized.grid.times.tobytes()
+    basis, dbasis, w = _sine_basis(params.horizon, times)
+    a, b, gram = _gram(criterion, params.impact, params.risk_aversion, params.horizon, times)
     c1sq = params.impact**2
-    a, b = _level_weights(criterion, params, t)
     ell = (basis @ (w * (2.0 * a * plan.q.values + b * s))
            + dbasis @ (w * (s + 2.0 * c1sq * plan.r.values)))
-    gram = (basis * (w * a)) @ basis.T + c1sq * (dbasis * w) @ dbasis.T
     return ell, gram, basis[:, -1]
 
 

@@ -178,16 +178,20 @@ def trajectory_bundles(realized: SampledPath, expected: SampledPath,
 
 
 @contextlib.contextmanager
-def _overflow_is_domain_error(params: MarketParams):
+def _overflow_is_domain_error(params: MarketParams, expected: Optional[SampledPath] = None):
     """Plans, costs and their aggregates grow like e^(c3 t), so at high urgency
     they pass the largest double: stop with a DomainError naming c3*T instead
-    of warning and going on with inf."""
+    of warning and going on with inf.  They also scale with the forecast, which
+    a jump model can put far above the prices, so the error names the largest
+    |E[S_t]| of the ``expected`` path when there is one."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
+        forecast = ("" if expected is None
+                    else f", forecast max |E[S_t]| = {np.max(np.abs(expected.values)):.6g}")
         raise DomainError(f"cost overflows a double at urgency c3*T = "
-                          f"{params.risk_ratio * params.horizon:.6g}") from exc
+                          f"{params.risk_ratio * params.horizon:.6g}{forecast}") from exc
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifact:
@@ -210,7 +214,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
     if any(tag.startswith("good-time") for tag in tags):
         x_max = max(params.risk_ratio ** (2.0 / 3.0) * params.horizon, 1e-6)
         airy = airy_pair(x_max, tol=1e-9)
-    with _overflow_is_domain_error(params):
+    with _overflow_is_domain_error(params, expected):
         fixed = {tag: STRATEGIES[tag](params, None, expected, airy)
                  for tag in tags if tag in FIXED_STRATEGIES}
 
@@ -221,7 +225,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
     bundles: list[TrajectoryBundle] = []
     for lo in range(0, config.paths, block):
         realized = pricemodels.sample_path(config.model, grid, seeds[lo:lo + block])
-        with _overflow_is_domain_error(params):
+        with _overflow_is_domain_error(params, expected):
             plans, block_rows = evaluate_block(config.criterion, params, realized, expected,
                                                tags, airy, fixed, keep=panel_tags)
         for tag, tag_rows in rows.items():
@@ -238,7 +242,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
         finite = xi[np.isfinite(xi)]
         xi_q = ({f"q{p}": float(np.quantile(finite, p / 100)) for p in (10, 50, 90)}
                 if finite.size else None)
-        with _overflow_is_domain_error(params):
+        with _overflow_is_domain_error(params, expected):
             stats.append(StrategyStats(
                 tag=tag,
                 mean_cost=float(c.mean()),

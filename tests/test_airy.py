@@ -125,3 +125,40 @@ def test_vectorized_evaluation_matches_scalar():
     xs = np.linspace(0.0, 2.0, 23)
     vec = PAIR.ai(xs)
     assert np.allclose(vec, [float(PAIR.ai(float(x))) for x in xs], atol=1e-14)
+
+
+def test_cached_rows_are_read_only_and_still_range_checked():
+    xs = np.linspace(0.0, 2.0, 31)
+    for row in (PAIR.ai, PAIR.dai, PAIR.bi, PAIR.dbi):
+        with pytest.raises(ValueError):
+            row(xs)[0] = 1.0
+    with pytest.raises(DomainError):
+        PAIR.ai(PAIR.x_max + 1.0)
+    # the rows are cached by argument alone; a narrower pair still rejects them
+    wide = airy_pair(5.0, tol=1e-9)
+    wide.ai(2.5 * xs)
+    with pytest.raises(DomainError):
+        PAIR.bi(2.5 * xs)
+
+
+def test_time_schedule_evaluates_the_airy_rows_once_per_grid(monkeypatch):
+    from pathexec import (ArithmeticBrownian, MarketParams, TimeGrid, airy as airy_module,
+                          good_exec_time_closed)
+    from pathexec.pricemodels import expected_path, sample_path
+
+    params = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=1_000.0,
+                          horizon=1.0)
+    pair = airy_pair(params.risk_ratio ** (2.0 / 3.0), tol=1e-9)
+    model, grid = ArithmeticBrownian(100.0, 5.0), TimeGrid.uniform(1.0, 333)
+    calls, scipy_airy = [], airy_module._airy
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return scipy_airy(x)
+
+    monkeypatch.setattr(airy_module, "_airy", counted)
+    airy_module._airy_rows.cache_clear()
+    expected = expected_path(model, grid)
+    for seed in range(3):
+        good_exec_time_closed(params, sample_path(model, grid, seed), expected, pair)
+    assert calls == [grid.times.shape]

@@ -144,6 +144,18 @@ def test_jump_model_moment_overflow_exit_code(tmp_path, capsys):
     assert "E[S_t] of OuJumpDiffusion overflows a double" in capsys.readouterr().err
 
 
+def test_forecast_overflow_names_the_forecast(tmp_path, capsys):
+    # lam (cosh 2 - 1) T ~ 552: E[S_t] is a finite double, but the costs it feeds
+    # overflow at an urgency c3*T of only 0.85
+    bad = tmp_path / "jumpy.cfg"
+    bad.write_text(CONFIG.replace("model = arithmetic-bm", "model = ou-jump-diffusion")
+                   .replace("model.sigma = 2.0", "model.lambda = 200\nmodel.jump_size = 2"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "c3*T = 0.851852, forecast max |E[S_t]| = " in err
+    assert float(err.rsplit("= ", 1)[1]) > 1e200
+
+
 def _history_csv(path):
     """A 2001-row random-walk price history on [0, 1]."""
     rng = np.random.default_rng(8)

@@ -22,7 +22,7 @@ from pathexec import (
     pathwise_f_weight,
     twap,
 )
-from pathexec.costs import _perturbation_matrix, _quadratic_form
+from pathexec.costs import _gram, _perturbation_matrix, _quadratic_form, _sine_basis
 from pathexec.pricemodels import expected_path, sample_path, variance_path
 from pathexec.strategies import Certificate, ExecutionPlan
 from dataclasses import replace
@@ -276,6 +276,73 @@ def test_quadratic_form_identity_property(c1, c2, x0, seed):
     coef = np.random.default_rng(seed).standard_normal((3, 17)) * max(abs(x0), 1.0) * 1e-2
     for criterion in ("quadratic", "time", "var"):
         _check_cost_identity(criterion, params, realized, plan, coef)
+
+
+def _uncached_quadratic_form(criterion, params, realized, plan):
+    # _quadratic_form from scratch, expression for expression, with no cache
+    t, s, horizon = realized.grid.times, realized.values, params.horizon
+    k = np.arange(1, 17)[:, None]
+    phase = k * (np.pi * t / horizon)
+    basis = np.vstack([np.sin(phase), t / horizon])
+    basis[:16, -1] = 0.0
+    dbasis = np.vstack([(k * np.pi / horizon) * np.cos(phase), np.full_like(t, 1.0 / horizon)])
+    dt = np.diff(t)
+    w = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
+    c1sq, c2sq = params.impact**2, params.risk_aversion**2
+    a, b = {"quadratic": (c2sq, 0.0), "time": (c2sq * t, 0.0), "var": (0.0, c2sq)}[criterion]
+    ell = (basis @ (w * (2.0 * a * plan.q.values + b * s))
+           + dbasis @ (w * (s + 2.0 * c1sq * plan.r.values)))
+    gram = (basis * (w * a)) @ basis.T + c1sq * (dbasis * w) @ dbasis.T
+    return ell, gram, basis[:, -1]
+
+
+def test_cached_quadratic_form_matches_an_uncached_one():
+    # each variant differs from PARAMS in one key component of the caches (the
+    # horizon by one ulp, which a plan on a [0, 1] grid accepts), so a key
+    # that dropped it would hand one call the entry of another
+    variants = [PARAMS, replace(PARAMS, impact=1.2), replace(PARAMS, risk_aversion=0.9),
+                replace(PARAMS, horizon=float(np.nextafter(1.0, 2.0)))]
+    grids = [TimeGrid.uniform(1.0, 4096), TimeGrid(np.linspace(0.0, 1.0, 1025) ** 2)]
+    paths = [sample_path(ArithmeticBrownian(100.0, 5.0), g, seed=6) for g in grids]
+    for _ in range(2):
+        for params in variants:
+            for realized in paths:
+                plan = _good_plan("quadratic", params, realized)
+                for criterion in ("quadratic", "time", "var"):
+                    got = _quadratic_form(criterion, params, realized, plan)
+                    want = _uncached_quadratic_form(criterion, params, realized, plan)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_cached_pieces_are_read_only_and_errors_are_not_cached(grid, brownian_path):
+    plan = _good_plan("time", PARAMS, brownian_path)
+    _, gram, end = _quadratic_form("time", PARAMS, brownian_path, plan)
+    times = grid.times.tobytes()
+    level, _, same_gram = _gram("time", PARAMS.impact, PARAMS.risk_aversion, PARAMS.horizon,
+                                times)
+    assert same_gram is gram
+    cached = [gram, end, level, *_sine_basis(PARAMS.horizon, times)]
+    for array in cached:
+        with pytest.raises(ValueError):
+            array[..., 0] = 1.0
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            audit_good_inequality("nope", PARAMS, brownian_path, plan, 10, seed=0)
+        with pytest.raises(DomainError):
+            _quadratic_form("nope", PARAMS, brownian_path, plan)
+
+
+def test_audits_on_one_grid_build_the_sine_basis_once():
+    grid = TimeGrid.uniform(1.0, 512)
+    _sine_basis.cache_clear()
+    _gram.cache_clear()
+    for seed in range(10):
+        realized = sample_path(ArithmeticBrownian(100.0, 5.0), grid, seed)
+        criterion = ("quadratic", "time", "var")[seed % 3]
+        plan = _good_plan(criterion, PARAMS, realized)
+        audit_good_inequality(criterion, PARAMS, realized, plan, 100, seed=seed)
+    assert _sine_basis.cache_info().misses == 1
+    assert _gram.cache_info().misses == 3  # one per criterion
 
 
 def test_first_variation_gap_shrinks_under_refinement():
