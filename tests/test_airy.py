@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pathexec import DomainError, airy_pair
+from pathexec import (ArithmeticBrownian, DomainError, MarketParams, TimeGrid, airy_pair,
+                      good_exec_time_closed)
+from pathexec import airy as airy_module
+from pathexec.pricemodels import expected_path, sample_path
 
 # power-series oracle: u(x) = a f(x) + b g(x) with
 #   f = sum x^{3k} prod-form,  g = sum x^{3k+1} prod-form
@@ -142,10 +145,6 @@ def test_cached_rows_are_read_only_and_still_range_checked():
 
 
 def test_time_schedule_evaluates_the_airy_rows_once_per_grid(monkeypatch):
-    from pathexec import (ArithmeticBrownian, MarketParams, TimeGrid, airy as airy_module,
-                          good_exec_time_closed)
-    from pathexec.pricemodels import expected_path, sample_path
-
     params = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=1_000.0,
                           horizon=1.0)
     pair = airy_pair(params.risk_ratio ** (2.0 / 3.0), tol=1e-9)
