@@ -24,10 +24,8 @@ from .calibration import (
 )
 from .costs import (
     AuditReport,
-    LiquidationStats,
     audit_good_inequality,
     cost_J,
-    liquidation_stats,
     pathwise_f_weight,
 )
 from .errors import (
@@ -49,7 +47,6 @@ from .harness import (
 from .pathcalc import (
     SampledPath,
     TimeGrid,
-    p_variation,
     resample,
     stieltjes_integral,
     young_integral,

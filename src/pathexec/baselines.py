@@ -36,8 +36,7 @@ __all__ = [
 def static_optimal(params: MarketParams, expected: SampledPath) -> ExecutionPlan:
     """Deterministic fuel-constrained optimum; q(T) = xT up to quadrature noise."""
     q, r = quadratic_trajectory(params, expected, expected)
-    plan = _plan(params, expected.grid, q, r, "static", "quadratic",
-                 float(expected.values[-1]))
+    plan = _plan(params, expected.grid, q, r, "static", float(expected.values[-1]))
     return plan
 
 
@@ -49,8 +48,7 @@ def aposteriori_optimal(params: MarketParams, realized: SampledPath) -> Executio
     A ``(paths, N)`` block gives one plan per row, as the builders do.
     """
     q, r = quadratic_trajectory(params, realized, realized)
-    return _plan(params, realized.grid, q, r, "aposteriori", "quadratic",
-                 realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, "aposteriori", realized.values[..., -1])
 
 
 def _phi_scaled(params: MarketParams, u: np.ndarray) -> np.ndarray:
@@ -98,7 +96,7 @@ def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
     q = phi_rev * core
     r = -dphi_rev * core + v
 
-    return _plan(params, expected.grid, q, r, "terminal-penalty", "quadratic", None)
+    return _plan(params, expected.grid, q, r, "terminal-penalty", None)
 
 
 def twap(params: MarketParams, grid: TimeGrid) -> ExecutionPlan:
@@ -108,7 +106,7 @@ def twap(params: MarketParams, grid: TimeGrid) -> ExecutionPlan:
     x0, x_t = params.initial_inventory, params.target_inventory
     q = x0 + (t / T) * (x_t - x0)
     r = np.full_like(t, (x_t - x0) / T)
-    return _plan(params, grid, q, r, "twap", "quadratic", None)
+    return _plan(params, grid, q, r, "twap", None)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +133,11 @@ def challenger_plans(params: MarketParams, realized: SampledPath,
     frac = t / T
     q_front = x_t + span * (1.0 - frac) ** 2
     r_front = -2.0 * span / T * (1.0 - frac)
-    plans.append(_plan(params, grid, q_front, r_front, "front-loaded", "quadratic", None))
+    plans.append(_plan(params, grid, q_front, r_front, "front-loaded", None))
 
     q_back = x_t + span * (1.0 - frac**2)
     r_back = -2.0 * span * frac / T
-    plans.append(_plan(params, grid, q_back, r_back, "back-loaded", "quadratic", None))
+    plans.append(_plan(params, grid, q_back, r_back, "back-loaded", None))
 
     gap = realized.values - expected.values
     z = cumulative_trapezoid(gap, t)
@@ -147,5 +145,5 @@ def challenger_plans(params: MarketParams, realized: SampledPath,
         g = sign * feedback
         q_react = x_t + span * (1.0 - frac) - g * (1.0 - frac) * z
         r_react = -span / T + g * z / T - g * (1.0 - frac) * gap
-        plans.append(_plan(params, grid, q_react, r_react, tag, "quadratic", None))
+        plans.append(_plan(params, grid, q_react, r_react, tag, None))
     return plans

@@ -11,8 +11,8 @@ import sys
 
 import numpy as np
 
-from .calibration import calibrate_ou_jump
-from .errors import ConfigError, CsvParseError, DomainError, PathexecError
+from .calibration import calibrate_ou_jump, extract_target
+from .errors import ConfigError, PathexecError
 from .harness import (RunArtifact, _overflow_is_domain_error, emit_plotdata, evaluate_block,
                       ingest_csv, load_config, run_scenario, trajectory_bundles)
 from .pathcalc import SampledPath, TimeGrid
@@ -111,14 +111,14 @@ def _cmd_backtest(args) -> int:
     window = args.window if args.window is not None else series.span / 10.0
 
     # historical path becomes the realized trajectory on a uniform grid over
-    # the normalized horizon; the forecast is the smoothed reversion target
+    # the normalized horizon; the forecast is the moving-average target
     grid = TimeGrid.uniform(config.params.horizon, config.grid_steps)
     scale = config.params.horizon / series.span
     t_norm = (series.timestamps - series.timestamps[0]) * scale
     idx = np.clip(np.searchsorted(t_norm, grid.times, side="right") - 1, 0,
                   series.prices.size - 1)
     realized = SampledPath(grid, series.prices[idx])
-    target = calibrate_ou_jump(series, window).target
+    target = extract_target(series, window)
     expected = SampledPath(grid, np.exp(np.interp(grid.times / scale, target.grid.times,
                                                   target.values)))
 
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
         if args.verb == "calibrate":
             return _cmd_calibrate(args)
         raise ConfigError(f"unknown verb {args.verb!r}")
-    except (ConfigError, CsvParseError, DomainError, PathexecError) as exc:
+    except PathexecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "pathwise_f_weight",
     "AuditReport",
     "audit_good_inequality",
-    "LiquidationStats",
-    "liquidation_stats",
 ]
 
 # criterion -> level weights (c2^2, t) -> (a, b) of the running cost
@@ -177,7 +175,6 @@ def _quadratic_form(criterion: str, params: MarketParams, realized: SampledPath,
 def audit_good_inequality(criterion: str, params: MarketParams,
                           realized: SampledPath, plan: ExecutionPlan,
                           perturbations: int, seed: int,
-                          scale: Optional[float] = None,
                           endpoint_bump: bool = True) -> AuditReport:
     """Probe the pathwise inequality J(q+e) >= J(q) inside the tubular set.
 
@@ -197,8 +194,7 @@ def audit_good_inequality(criterion: str, params: MarketParams,
     if plan.certificate is None:
         raise DomainError("plan carries no certificate; audit needs xi")
     xi = plan.certificate.xi
-    if scale is None:
-        scale = 1e-3 * max(abs(params.initial_inventory), 1.0)
+    scale = 1e-3 * max(abs(params.initial_inventory), 1.0)
 
     ell, gram, end = _quadratic_form(criterion, params, realized, plan)
     sines, bump_draws = _perturbation_matrix(perturbations, seed, scale)
@@ -223,49 +219,3 @@ def audit_good_inequality(criterion: str, params: MarketParams,
         j_value=j0,
         first_variation_gap=float(np.max(np.abs(ell - end * boundary))),
     )
-
-
-@dataclass(frozen=True)
-class LiquidationStats:
-    """Sample statistics of terminal liquidation errors q_T - xT."""
-
-    mean_error: float
-    stderr: float
-    variance: float
-    variance_se: float
-    variance_bound: Optional[float] = None
-
-    @property
-    def within_bound(self) -> Optional[bool]:
-        if self.variance_bound is None:
-            return None
-        return self.variance <= self.variance_bound + 2.0 * self.variance_se
-
-
-def liquidation_stats(plans: Sequence[ExecutionPlan], x_target: float,
-                      params: Optional[MarketParams] = None,
-                      variance: Optional[SampledPath] = None) -> LiquidationStats:
-    """Mean/variance of liquidation errors across Monte Carlo plans or blocks.
-
-    Given market parameters and the model's variance path, also evaluates the
-    dispersion bound  Var(q_T) <= (T / 4 c1^4) int cosh^2(c3 (T-t)) Var(S_t) dt
-    for the quadratic criterion.
-    """
-    errors = np.concatenate([np.zeros(0), *(np.ravel(p.terminal) for p in plans)]) - x_target
-    n = errors.size
-    if n < 2:
-        raise DomainError("need at least two paths for sample statistics")
-    mean = float(errors.mean())
-    stderr = float(errors.std(ddof=1) / math.sqrt(n))
-    var = float(errors.var(ddof=1))
-    centered = errors - errors.mean()
-    m4 = float(np.mean(centered**4))
-    var_se = math.sqrt(max(m4 - var**2, 0.0) / n)
-
-    bound = None
-    if params is not None and variance is not None:
-        t = variance.grid.times
-        c1, c3 = params.impact, params.risk_ratio
-        w = np.cosh(c3 * (params.horizon - t)) ** 2
-        bound = params.horizon / (4.0 * c1**4) * trapezoid(w * variance.values, t)
-    return LiquidationStats(mean, stderr, var, var_se, bound)

@@ -64,8 +64,6 @@ STRATEGIES = {
         p, e, SampledPath.constant(e.grid, 0.0)),
     "twap": lambda p, s, e, a: baselines.twap(p, e.grid),
 }
-# these read only the forecast: built once per run and broadcast over blocks
-FIXED_STRATEGIES = ("static", "terminal-penalty", "twap")
 ALL_STRATEGIES = tuple(STRATEGIES)
 GOOD_STRATEGIES = tuple(tag for tag in STRATEGIES if tag.startswith("good-"))
 
@@ -142,19 +140,17 @@ class RunArtifact:
 
 
 def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
-                   expected: SampledPath, tags, airy: Optional[AiryPair] = None,
-                   fixed: Optional[dict[str, ExecutionPlan]] = None, keep=None):
+                   expected: SampledPath, tags, airy: Optional[AiryPair] = None, keep=None):
     """Build, score and drop each tagged plan in turn on a block of realized paths.
 
     ``realized`` holds one path per row; a 1-D path is the one-path block.
-    Plans given in ``fixed`` are reused as they are (broadcast over the rows).
+    A plan that reads only the forecast is 1-D and broadcasts over the rows.
     Returns (tag -> plan, for the tags in ``keep`` or all tags when it is None;
     tag -> (per-path cost, terminal error, xi)), with xi NaN off the good tags.
     """
-    fixed = fixed or {}
     plans, rows = {}, {}
     for tag in tags:
-        plan = fixed[tag] if tag in fixed else STRATEGIES[tag](params, realized, expected, airy)
+        plan = STRATEGIES[tag](params, realized, expected, airy)
         rows[tag] = (costs.cost_J(criterion, params, realized, plan),
                      plan.terminal - params.target_inventory,
                      plan.certificate.xi if tag in GOOD_STRATEGIES else np.nan)
@@ -214,9 +210,6 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
     if any(tag.startswith("good-time") for tag in tags):
         x_max = max(params.risk_ratio ** (2.0 / 3.0) * params.horizon, 1e-6)
         airy = airy_pair(x_max, tol=1e-9)
-    with _overflow_is_domain_error(params, expected):
-        fixed = {tag: STRATEGIES[tag](params, None, expected, airy)
-                 for tag in tags if tag in FIXED_STRATEGIES}
 
     seeds = np.random.SeedSequence(config.seed).generate_state(config.paths, np.uint64)
     block = max(1, BLOCK_ELEMENTS // grid.times.size)
@@ -227,7 +220,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
         realized = pricemodels.sample_path(config.model, grid, seeds[lo:lo + block])
         with _overflow_is_domain_error(params, expected):
             plans, block_rows = evaluate_block(config.criterion, params, realized, expected,
-                                               tags, airy, fixed, keep=panel_tags)
+                                               tags, airy, keep=panel_tags)
         for tag, tag_rows in rows.items():
             tag_rows.append(np.broadcast_arrays(*block_rows[tag]))
         if config.dump_trajectories:

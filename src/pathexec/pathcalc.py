@@ -29,13 +29,8 @@ __all__ = [
     "cumulative_young",
     "young_integral",
     "stieltjes_integral",
-    "p_variation",
     "resample",
 ]
-
-# Exact sub-partition search is O(n^2); beyond this many points fall back to
-# the full-grid lower bound unless the caller forces "exact".
-EXACT_PVAR_MAX_POINTS = 2**12
 
 
 def trapezoid(values: np.ndarray, times: np.ndarray):
@@ -183,30 +178,6 @@ def young_integral(integrand: SampledPath, integrator: SampledPath, s: float, t:
 def stieltjes_integral(integrand: SampledPath, differentiated: SampledPath, s: float, t: float) -> float:
     """Left-point sum of the integrand against the increments of a smooth path."""
     return young_integral(integrand, differentiated, s, t)
-
-
-def p_variation(path: SampledPath, p: float, method: str = "auto") -> float:
-    """Grid-restricted p-variation: sup over sub-partitions of (sum |dx|^p)^(1/p).
-
-    ``method``:
-      * ``"exact"``  -- dynamic programming over all sub-partitions, O(n^2);
-      * ``"lower"``  -- full-grid increment sum, a lower bound;
-      * ``"auto"``   -- exact up to 2^12+1 points, lower bound beyond.
-    """
-    if p < 1.0:
-        raise DomainError("p-variation needs p >= 1")
-    x = path.values
-    n = x.size
-    if method not in ("auto", "exact", "lower"):
-        raise DomainError(f"unknown p-variation method {method!r}")
-    if method == "auto":
-        method = "exact" if n <= EXACT_PVAR_MAX_POINTS else "lower"
-    if method == "lower":
-        return float(np.sum(np.abs(np.diff(x)) ** p) ** (1.0 / p))
-    best = np.zeros(n)
-    for j in range(1, n):
-        best[j] = np.max(best[:j] + np.abs(x[j] - x[:j]) ** p)
-    return float(best[-1] ** (1.0 / p))
 
 
 def resample(path: SampledPath, grid: TimeGrid, kind: str = "previous") -> SampledPath:

@@ -120,7 +120,6 @@ class ExecutionPlan:
     q: SampledPath
     r: SampledPath
     strategy_tag: str
-    criterion_tag: str
     certificate: Optional[Certificate] = None
 
     def __post_init__(self):
@@ -180,7 +179,7 @@ def _horizon_times(params: MarketParams, grid: TimeGrid) -> np.ndarray:
 
 
 def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
-          strategy_tag: str, criterion_tag: str, s_terminal) -> ExecutionPlan:
+          strategy_tag: str, s_terminal) -> ExecutionPlan:
     """A plan starting at x0; ``s_terminal=None`` builds it without a certificate."""
     q = np.array(q, dtype=float)
     q[..., 0] = params.initial_inventory
@@ -190,7 +189,6 @@ def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
         q=SampledPath(grid, q),
         r=SampledPath(grid, np.asarray(r, dtype=float)),
         strategy_tag=strategy_tag,
-        criterion_tag=criterion_tag,
         certificate=cert,
     )
 
@@ -204,10 +202,12 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
                          k=None) -> tuple[np.ndarray, np.ndarray]:
     """Inventory and rate arrays of the quadratic-criterion schedule.
 
-    q_t = (1-a(t)) x0 + a(t) xT - conv_cosh(S)(t)/(2 c1^2) + K sinh(c3 t)
-    with a(t) = 1 - sinh(c3 (T-t))/sinh(c3 T) and the constant K built from
-    the forecast so that E[q_T] = xT.  The rate is the exact time derivative.
-    A given ``k`` overrides K (the forecast is then unused); it needs c2 > 0.
+    q_t = (1-a(t)) x0 + xT sinh(c3 t)/sinh(c3 T) - conv_cosh(S)(t)/(2 c1^2) + K sinh(c3 t)
+    with a(t) = 1 - sinh(c3 (T-t))/sinh(c3 T).  It solves q'' = c3^2 q - S'/(2 c1^2),
+    the Euler-Lagrange equation of the running cost's c2^2 q^2, and the constant
+    K is built from the forecast so that E[q_T] = xT.  The rate is the exact
+    time derivative.  A given ``k`` overrides K (the forecast is then unused);
+    it needs c2 > 0.
     Without risk aversion the schedule is the value-at-risk one at c2 = 0.
     """
     if k is None:
@@ -230,9 +230,10 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
                        else _hyperbolic_convolutions(c3, t, expected.values)[0])
         k = _col(conv_cosh_e[..., -1]) / (half_impact * sinh_t_full)
     alpha = 1.0 - np.sinh(c3 * (T - t)) / sinh_t_full
-    q = x0 + alpha * (x_t - x0) - conv_cosh / half_impact + k * np.sinh(c3 * t)
+    k = k + x_t / sinh_t_full  # the target's xT sinh(c3 t)/sinh(c3 T)
+    q = x0 - alpha * x0 - conv_cosh / half_impact + k * np.sinh(c3 * t)
     r = (
-        c3 * np.cosh(c3 * (T - t)) / sinh_t_full * (x_t - x0)
+        c3 * np.cosh(c3 * (T - t)) / sinh_t_full * -x0
         - (s + c3 * conv_sinh) / half_impact
         + k * c3 * np.cosh(c3 * t)
     )
@@ -243,8 +244,7 @@ def good_exec_quadratic_closed(params: MarketParams, realized: SampledPath,
                                expected: SampledPath) -> ExecutionPlan:
     """Closed-form quadratic-criterion schedule reacting to the realized path."""
     q, r = quadratic_trajectory(params, realized, expected)
-    return _plan(params, realized.grid, q, r, "good-quadratic-closed", "quadratic",
-                 realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, "good-quadratic-closed", realized.values[..., -1])
 
 
 def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
@@ -300,18 +300,15 @@ def _euler_plan(params: MarketParams, realized: SampledPath, expected: SampledPa
     r0 = trajectory(params, expected, expected)[1][..., 0] - s0_gap / (2.0 * params.impact**2)
     q, r = step(realized.grid.times, realized.values, r0, params.initial_inventory,
                 params.impact)
-    return _plan(params, realized.grid, q, r, f"good-{criterion}-ivp", criterion,
-                 realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, f"good-{criterion}-ivp", realized.values[..., -1])
 
 
 def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
                             expected: SampledPath) -> ExecutionPlan:
-    """Euler-stepped quadratic schedule: dr = c3^2 (q - xT) dt - dS/(2 c1^2)."""
+    """Euler-stepped quadratic schedule: dr = c3^2 q dt - dS/(2 c1^2)."""
     c3sq = params.risk_ratio**2
-    x_t = params.target_inventory
     return _euler_plan(params, realized, expected, quadratic_trajectory,
-                       partial(_euler_ivp, drift=lambda tt, qq, ss: c3sq * (qq - x_t)),
-                       "quadratic")
+                       partial(_euler_ivp, drift=lambda tt, qq, ss: c3sq * qq), "quadratic")
 
 
 def certificate_quadratic(params: MarketParams, realized: SampledPath,
@@ -391,8 +388,7 @@ def good_exec_time_closed(params: MarketParams, realized: SampledPath,
                           expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
     """Closed-form schedule for the time-weighted criterion."""
     q, r = time_trajectory(params, realized, expected, airy)
-    return _plan(params, realized.grid, q, r, "good-time-closed", "time",
-                 realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, "good-time-closed", realized.values[..., -1])
 
 
 def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
@@ -433,8 +429,7 @@ def good_exec_var_closed(params: MarketParams, realized: SampledPath,
                          expected: SampledPath) -> ExecutionPlan:
     """Closed-form schedule under the value-at-risk style criterion."""
     q, r = var_trajectory(params, realized, expected)
-    return _plan(params, realized.grid, q, r, "good-var-closed", "var",
-                 realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, "good-var-closed", realized.values[..., -1])
 
 
 def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
@@ -462,7 +457,7 @@ def quadratic_with_terminal_constant(params: MarketParams, realized: SampledPath
     """
     q, r = quadratic_trajectory(params, realized, k=k_value)
     return _plan(params, realized.grid, q, r, "good-quadratic-biased-terminal",
-                 "quadratic", realized.values[..., -1])
+                 realized.values[..., -1])
 
 
 def alt_terminal_K(params: MarketParams, expected: SampledPath, mode: str,

@@ -82,7 +82,7 @@ def test_aposteriori_beats_pinned_competitors_pathwise(grid):
         rate = SampledPath(grid, ap.r.values + c @ dbasis)
         from pathexec.strategies import ExecutionPlan
 
-        eta = ExecutionPlan(q=pert, r=rate, strategy_tag="pert", criterion_tag="quadratic")
+        eta = ExecutionPlan(q=pert, r=rate, strategy_tag="pert")
         assert cost_J("quadratic", PARAMS, real, eta) >= j_ap - 1e-9 * (1.0 + abs(j_ap))
 
 

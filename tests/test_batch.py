@@ -71,7 +71,7 @@ BUILDERS = {
 BLOCK_TAGS = [t for t in BUILDERS if t in GOOD_STRATEGIES + ("aposteriori",)]
 # dr = drift(t, q, S) dt - dS/(2 c1^2), each drift as its stepper writes it
 IVP_DRIFTS = {
-    "good-quadratic-ivp": lambda p, t, q, s: p.risk_ratio**2 * (q - p.target_inventory),
+    "good-quadratic-ivp": lambda p, t, q, s: p.risk_ratio**2 * q,
     "good-time-ivp": lambda p, t, q, s: p.risk_ratio**2 * t * q,
     "good-var-ivp": lambda p, t, q, s: 0.5 * p.risk_ratio**2 * s,
 }

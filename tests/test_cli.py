@@ -232,6 +232,17 @@ def test_backtest_verb(config_file, tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("prices", [
+    100.0 + 0.02 * np.arange(50.0),  # too short for the jump-diffusion calibration
+    np.full(2_001, 100.0),           # flat, so its OU residual is degenerate
+], ids=["50-rows", "flat"])
+def test_backtest_needs_only_the_moving_average_target(config_file, tmp_path, prices):
+    f = tmp_path / "hist.csv"
+    t = np.linspace(0.0, 1.0, prices.size)
+    f.write_text("\n".join(f"{ti},{pi}" for ti, pi in zip(t, prices)) + "\n")
+    assert main(["backtest", str(f), "--config", config_file, "--out", str(tmp_path / "bt")]) == 0
+
+
 NO_TIME_TAGS = ("good-quadratic-closed, good-quadratic-ivp, good-var-closed, good-var-ivp, "
                 "static, aposteriori, terminal-penalty, twap")
 

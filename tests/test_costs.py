@@ -18,12 +18,11 @@ from pathexec import (
     good_exec_time_closed,
     good_exec_var_closed,
     airy_pair,
-    liquidation_stats,
     pathwise_f_weight,
     twap,
 )
 from pathexec.costs import _gram, _perturbation_matrix, _quadratic_form, _sine_basis
-from pathexec.pricemodels import expected_path, sample_path, variance_path
+from pathexec.pricemodels import expected_path, sample_path
 from pathexec.strategies import Certificate, ExecutionPlan
 from dataclasses import replace
 
@@ -33,7 +32,7 @@ PARAMS = MarketParams(impact=1.35, risk_aversion=1.15,
 
 def test_cost_zero_plan_is_free(grid, brownian_path):
     zero = SampledPath.constant(grid, 0.0)
-    plan = ExecutionPlan(q=zero, r=zero, strategy_tag="null", criterion_tag="quadratic")
+    plan = ExecutionPlan(q=zero, r=zero, strategy_tag="null")
     for crit in ("quadratic", "time", "var"):
         assert cost_J(crit, PARAMS, brownian_path, plan) == 0.0
 
@@ -110,7 +109,7 @@ def test_cost_decomposition_reconciles_with_f_weight(grid):
     zero_price = SampledPath.constant(grid, 0.0)
     q = SampledPath.from_function(grid, lambda t: 1_000.0 * (1.0 - t) ** 2)
     r = SampledPath.from_function(grid, lambda t: -2_000.0 * (1.0 - t))
-    plan = ExecutionPlan(q=q, r=r, strategy_tag="x", criterion_tag="quadratic")
+    plan = ExecutionPlan(q=q, r=r, strategy_tag="x")
     j = cost_J("quadratic", PARAMS, zero_price, plan)
     w = pathwise_f_weight("quadratic", PARAMS, q, rate=r.values)
     assert j == pytest.approx(w**2, rel=1e-10)
@@ -173,7 +172,7 @@ def _dense_basis(t, horizon):
 def _perturbed(plan, e, de):
     return ExecutionPlan(q=SampledPath(plan.grid, plan.q.values + e),
                          r=SampledPath(plan.grid, plan.r.values + de),
-                         strategy_tag="pert", criterion_tag=plan.criterion_tag)
+                         strategy_tag="pert")
 
 
 def _dense_audit(criterion, params, realized, plan, perturbations, seed):
@@ -365,22 +364,3 @@ def test_own_terminal_pinned_solution_coincides(grid, brownian_path):
     pinned = aposteriori_optimal(replace(PARAMS, target_inventory=good.terminal),
                                  brownian_path)
     assert np.max(np.abs(good.q.values - pinned.q.values)) <= 1e-4 * 1_000.0
-
-
-def test_liquidation_stats(grid):
-    model = ArithmeticBrownian(100.0, 5.0)
-    e = expected_path(model, grid)
-    g_small = TimeGrid.uniform(1.0, 128)
-    e_small = expected_path(model, g_small)
-    seeds = np.random.SeedSequence(4).generate_state(2000, np.uint64)
-    plan = good_exec_quadratic_closed(PARAMS, sample_path(model, g_small, seeds), e_small)
-    stats = liquidation_stats([plan], 0.0, params=PARAMS,
-                              variance=variance_path(model, g_small))
-    assert abs(stats.mean_error) <= 3.0 * stats.stderr
-    assert stats.within_bound
-    # fuel-constrained plans have exactly zero error statistics
-    tw = twap(PARAMS, g_small)
-    exact = liquidation_stats([tw, tw, tw], 0.0)
-    assert exact.mean_error == 0.0 and exact.variance == 0.0
-    with pytest.raises(DomainError):
-        liquidation_stats([tw], 0.0)

@@ -1,10 +1,7 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pathexec import (
     ArithmeticBrownian,
@@ -12,7 +9,6 @@ from pathexec import (
     GridMismatchError,
     SampledPath,
     TimeGrid,
-    p_variation,
     resample,
     stieltjes_integral,
     young_integral,
@@ -134,53 +130,6 @@ def test_young_linearity_and_additivity(grid, brownian_path):
         a, brownian_path, mid, 1.0
     )
     assert split == pytest.approx(young_integral(a, brownian_path, 0.0, 1.0), abs=1e-12)
-
-
-def brute_force_p_variation(values, p):
-    n = len(values)
-    best = 0.0
-    interior = range(1, n - 1)
-    for r in range(n - 1):
-        for subset in itertools.combinations(interior, r):
-            pts = [0, *subset, n - 1]
-            tot = sum(abs(values[pts[i + 1]] - values[pts[i]]) ** p for i in range(len(pts) - 1))
-            best = max(best, tot)
-    return best ** (1.0 / p)
-
-
-def test_p_variation_examples():
-    g = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0]))
-    zigzag = SampledPath(g, np.array([0.0, 1.0, 0.0, 1.0]))
-    assert p_variation(zigzag, 1.0) == pytest.approx(3.0)
-    assert p_variation(zigzag, 1.0) == pytest.approx(brute_force_p_variation(zigzag.values, 1.0))
-    mono = SampledPath(g, np.array([0.0, 0.5, 2.0, 5.0]))
-    assert p_variation(mono, 1.0) == pytest.approx(5.0)
-    const = SampledPath.constant(g, 4.0)
-    assert p_variation(const, 2.0) == 0.0
-    with pytest.raises(DomainError):
-        p_variation(zigzag, 0.5)
-
-
-@given(
-    values=st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=9),
-    p=st.floats(1.0, 4.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_p_variation_matches_brute_force(values, p):
-    g = TimeGrid(np.arange(len(values), dtype=float))
-    path = SampledPath(g, np.array(values))
-    assert p_variation(path, p, method="exact") == pytest.approx(
-        brute_force_p_variation(path.values, p), rel=1e-9, abs=1e-9
-    )
-
-
-def test_p_variation_monotone_in_p(brownian_path):
-    ps = [1.0, 1.5, 2.0, 2.5, 3.0]
-    vals = [p_variation(brownian_path, p, method="lower") for p in ps]
-    assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    # exact mode dominates the lower bound
-    small = resample(brownian_path, brownian_path.grid.restrict(2**6), "previous")
-    assert p_variation(small, 2.0, method="exact") >= p_variation(small, 2.0, method="lower")
 
 
 def test_resample_rules(grid):

@@ -12,7 +12,6 @@ from pathexec import (
     ExponentialMartingale,
     OuJumpDiffusion,
     TimeGrid,
-    p_variation,
     two_point_marks,
 )
 from pathexec.pricemodels import expected_path, sample_path, variance_path
@@ -151,15 +150,6 @@ def test_mc_variance_at_midpoint(model, grid):
     se = math.sqrt(max(np.mean((x - x.mean()) ** 4) - mc_var**2 * (n - 3) / (n - 1), 0.0) / n)
     th = variance_path(model, grid).values[len(grid) // 2]
     assert abs(mc_var - th) < 4.0 * se
-
-
-def test_sampled_paths_have_finite_pvar_estimate():
-    for model in (
-        ArithmeticBrownian(s0=100.0, sigma=2.0),
-        OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0),
-    ):
-        s = sample_path(model, GRID, 12)
-        assert math.isfinite(p_variation(s, 2.5, method="lower"))
 
 
 def _reference_ou_jump_path(model, grid, seed):

@@ -110,7 +110,7 @@ def _indexed_euler_loop(t, s, r0, x0, c1, drift):
 
 
 LOOPED_DRIFTS = {
-    "quadratic": lambda tt, qq, ss: FIG2.risk_ratio**2 * (qq - FIG2.target_inventory),
+    "quadratic": lambda tt, qq, ss: FIG2.risk_ratio**2 * qq,
     "time": lambda tt, qq, ss: FIG2.risk_ratio**2 * tt * qq,
 }
 
@@ -136,7 +136,7 @@ def test_every_grid_check_raises_grid_mismatch():
     other = SampledPath.constant(TimeGrid.uniform(1.0, 7), 100.0)
     plan = good_exec_quadratic_closed(FIG2, expected, expected)
     calls = [
-        lambda: ExecutionPlan(q=plan.q, r=other, strategy_tag="x", criterion_tag="quadratic"),
+        lambda: ExecutionPlan(q=plan.q, r=other, strategy_tag="x"),
         lambda: terminal_penalty_optimal(FIG2, expected, other),
         lambda: challenger_plans(FIG2, expected, other, 1.0),
         lambda: cost_J("quadratic", FIG2, other, plan),
@@ -186,3 +186,30 @@ def test_terminal_inventory_unbiased_on_the_jump_model(criterion):
                           for block in np.split(seeds, 4)])
     stderr = q_t.std(ddof=1) / math.sqrt(q_t.size)
     assert abs(q_t.mean() - FIG2.target_inventory) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("x_target", [500.0, -300.0])
+@pytest.mark.parametrize("criterion", sorted(PAIRS))
+def test_schedules_to_a_nonzero_target_are_optimal_and_unbiased(criterion, x_target):
+    # every criterion prices the inventory q itself, not q - xT, so the target
+    # enters the schedules only through the boundary condition E[q_T] = xT
+    params = replace(FIG2, initial_inventory=1_000.0, target_inventory=x_target)
+    m = MODELS["abm"]
+    closed, ivp, extra = PAIRS[criterion]
+    fine = TimeGrid.uniform(1.0, 4096)
+    fine_expected = expected_path(m, fine)
+    realized = sample_path(m, fine, 11)
+    plan = closed(params, realized, fine_expected, *extra)
+    report = audit_good_inequality(criterion, params, realized, plan, perturbations=1_000, seed=5)
+    assert report.kept > 0 and not report.violations
+    assert report.first_variation_gap < 1e-2
+    # criterion 1's Brownian bound on the closed-vs-Euler gap
+    stepped = ivp(params, realized, fine_expected, *extra)
+    assert np.max(np.abs(stepped.q.values - plan.q.values)) <= 1e-2 * params.initial_inventory
+
+    expected = expected_path(m, GRID)
+    seeds = np.random.SeedSequence(7).generate_state(4_000, np.uint64)
+    q_t = np.concatenate([closed(params, sample_path(m, GRID, block), expected, *extra).terminal
+                          for block in np.split(seeds, 4)])
+    stderr = q_t.std(ddof=1) / math.sqrt(q_t.size)
+    assert abs(q_t.mean() - x_target) <= 3.0 * stderr

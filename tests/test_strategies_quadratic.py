@@ -212,8 +212,8 @@ def _window_oracle(params, mode, t0, level, slope):
     x0, x_t = params.initial_inventory, params.target_inventory
     t = np.linspace(0.0, T, 2**16 + 1)
     conv = level * np.sinh(c3 * t) / c3 + slope * (np.cosh(c3 * t) - 1.0) / c3**2
-    a = 1.0 - np.sinh(c3 * (T - t)) / math.sinh(c3 * T)
-    q0 = x0 + a * (x_t - x0) - conv / (2.0 * c1**2)
+    sinh_full = math.sinh(c3 * T)
+    q0 = (x0 * np.sinh(c3 * (T - t)) + x_t * np.sinh(c3 * t)) / sinh_full - conv / (2.0 * c1**2)
     w = t >= t0
     tw, qw, sw = t[w], q0[w], np.sinh(c3 * t[w])
     if mode == "mean-square-window":
