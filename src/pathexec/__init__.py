@@ -26,7 +26,6 @@ from .costs import (
     AuditReport,
     audit_good_inequality,
     cost_J,
-    pathwise_f_weight,
 )
 from .errors import (
     ConfigError,
@@ -63,18 +62,14 @@ from .pricemodels import (
     variance_path,
 )
 from .strategies import (
-    Certificate,
     ExecutionPlan,
     MarketParams,
-    alt_terminal_K,
-    certificate_quadratic,
     good_exec_quadratic_closed,
     good_exec_quadratic_ivp,
     good_exec_time_closed,
     good_exec_time_ivp,
     good_exec_var_closed,
     good_exec_var_ivp,
-    quadratic_with_terminal_constant,
 )
 
 __version__ = "0.1.0"

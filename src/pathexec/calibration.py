@@ -65,8 +65,8 @@ def extract_target(series: MidPriceSeries, window: float) -> SampledPath:
     interpolation between samples is implied by SampledPath consumers.
     Multiplying all prices by a constant shifts the target by its log.
     """
-    if window <= 0:
-        raise DomainError("window must be > 0")
+    if not (math.isfinite(window) and window > 0):
+        raise DomainError(f"window must be a finite number > 0, got {window}")
     if series.span <= 0:
         raise EstimationError("series spans zero time")
     if window > series.span:
@@ -178,10 +178,10 @@ def detect_jumps(residual: SampledPath, alpha: float, sigma: float, k: float) ->
     An increment from Y_{t_{i-1}} to Y_{t_i} is a jump when
     |Y_{t_i} - Y_{t_{i-1}} e^(-alpha dt)| > k sigma sqrt((1 - e^(-2 alpha dt)) / (2 alpha)),
     the exact OU transition scale.  Marks are the excess displacements; the
-    intensity is count/span; the mark family is fitted as +/- mean|mark|.
+    intensity is count/span; the mark family is fitted as +/- median|mark|.
     """
-    if k <= 0:
-        raise DomainError("threshold multiplier must be > 0")
+    if not (math.isfinite(k) and k > 0):
+        raise DomainError(f"threshold multiplier must be a finite number > 0, got {k}")
     y = residual.values
     t = residual.grid.times
     dt = np.diff(t)

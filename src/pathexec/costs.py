@@ -2,7 +2,8 @@
 
 The running cost of a schedule against a realized price path is integrated
 by the trapezoid rule.  Each criterion induces a Sobolev-style seminorm (the
-F-weight) on trajectory perturbations; a competitor sits in the pathwise
+F-weight, |e|_F^2 = int a e^2 + c1^2 e'^2 with the running cost's level
+weight a) on trajectory perturbations; a competitor sits in the pathwise
 tubular neighbourhood of a schedule when its terminal deviation is dominated
 by xi times the squared F-weight of the deviation.  Inside that
 neighbourhood the schedule's cost is provably no worse, which is what
@@ -15,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .strategies import ExecutionPlan, MarketParams
 __all__ = [
     "CRITERIA",
     "cost_J",
-    "pathwise_f_weight",
     "AuditReport",
     "audit_good_inequality",
 ]
@@ -61,25 +60,6 @@ def cost_J(criterion: str, params: MarketParams, realized: SampledPath,
     a, b = _level_weights(criterion, params.risk_aversion, t)
     f = r * s + params.impact**2 * r**2 + a * q**2
     return trapezoid(f + b * q * s if b else f, t)
-
-
-def pathwise_f_weight(criterion: str, params: MarketParams, eta: SampledPath,
-                      rate: Optional[np.ndarray] = None) -> float:
-    """The criterion-induced seminorm of a trajectory perturbation.
-
-    quadratic: sqrt( int c2^2 eta^2 + c1^2 eta'^2 )
-    time:      sqrt( int c2^2 t eta^2 + c1^2 eta'^2 )
-    var:       sqrt( int c1^2 eta'^2 )      (the level term drops out)
-
-    The level weight is the running cost's ``a``.  The rate is taken by
-    finite differences unless an analytic one is given.
-    """
-    t = eta.grid.times
-    # central differences in the interior, one-sided at the ends
-    d_eta = rate if rate is not None else np.gradient(eta.values, t)
-    a, _ = _level_weights(criterion, params.risk_aversion, t)
-    sq = a * eta.values**2 + params.impact**2 * d_eta**2
-    return math.sqrt(max(trapezoid(sq, t), 0.0))
 
 
 @dataclass(frozen=True)
@@ -191,9 +171,9 @@ def audit_good_inequality(criterion: str, params: MarketParams,
     require_shared_grid(realized, plan)
     j0 = cost_J(criterion, params, realized, plan)
     tol = AUDIT_TOL_SCALE * (1.0 + abs(j0))
-    if plan.certificate is None:
+    xi = plan.xi
+    if xi is None:
         raise DomainError("plan carries no certificate; audit needs xi")
-    xi = plan.certificate.xi
     scale = 1e-3 * max(abs(params.initial_inventory), 1.0)
 
     ell, gram, end = _quadratic_form(criterion, params, realized, plan)

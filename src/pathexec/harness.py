@@ -153,7 +153,7 @@ def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
         plan = STRATEGIES[tag](params, realized, expected, airy)
         rows[tag] = (costs.cost_J(criterion, params, realized, plan),
                      plan.terminal - params.target_inventory,
-                     plan.certificate.xi if tag in GOOD_STRATEGIES else np.nan)
+                     plan.xi if tag in GOOD_STRATEGIES else np.nan)
         if keep is None or tag in keep:
             plans[tag] = plan
         del plan  # not alive while the next tag builds

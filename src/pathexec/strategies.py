@@ -19,8 +19,8 @@ schedule is implementable in real time.  The terminal inventory is
 random but unbiased: E[q_T] equals the liquidation target.
 
 Every builder is batch-native: a ``(paths, N)`` block of realized paths gives
-one plan with a row (and a certificate) per path, equal to the 1-D builds; a
-1-D path is the one-path case, with float terminals and certificates.
+one plan with a row (and an xi) per path, equal to the 1-D builds; a 1-D
+path is the one-path case, with float terminals and xi.
 """
 
 from __future__ import annotations
@@ -35,21 +35,17 @@ import numpy as np
 from .airy import AiryPair
 from .errors import DomainError
 from .pathcalc import (SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young,
-                       require_shared_grid, trapezoid)
+                       require_shared_grid)
 
 __all__ = [
     "MarketParams",
-    "Certificate",
     "ExecutionPlan",
     "good_exec_quadratic_closed",
     "good_exec_quadratic_ivp",
-    "certificate_quadratic",
     "good_exec_time_closed",
     "good_exec_time_ivp",
     "good_exec_var_closed",
     "good_exec_var_ivp",
-    "alt_terminal_K",
-    "quadratic_with_terminal_constant",
 ]
 
 # below this value of c3*T the hyperbolic ratios are replaced by their
@@ -99,28 +95,19 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Optimality certificates of a schedule.
-
-    ``xi`` bounds the pathwise tubular neighbourhood on this realization
-    (xi = 1/|2 c1^2 r_T + S_T|); ``c`` bounds the in-expectation neighbourhood
-    and needs the model's variance function, so it is per model, not per
-    path.  Infinite values mean the corresponding neighbourhood is
-    unrestricted (deterministic price, or vanishing risk aversion).
-    """
-
-    xi: float
-    c: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class ExecutionPlan:
-    """Paired inventory trajectory and execution rate on a common grid."""
+    """Paired inventory trajectory and execution rate on a common grid.
+
+    ``xi`` is the optimality certificate: the radius 1/|2 c1^2 r_T + S_T| of
+    the pathwise tubular neighbourhood on this realization, one per path on a
+    block, and inf where the neighbourhood is unrestricted.  It is None for
+    plans that certify nothing.
+    """
 
     q: SampledPath
     r: SampledPath
     strategy_tag: str
-    certificate: Optional[Certificate] = None
+    xi: Optional[float] = None
 
     def __post_init__(self):
         require_shared_grid(self.q, self.r)
@@ -180,16 +167,14 @@ def _horizon_times(params: MarketParams, grid: TimeGrid) -> np.ndarray:
 
 def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
           strategy_tag: str, s_terminal) -> ExecutionPlan:
-    """A plan starting at x0; ``s_terminal=None`` builds it without a certificate."""
+    """A plan starting at x0; ``s_terminal=None`` builds it without an xi."""
     q = np.array(q, dtype=float)
     q[..., 0] = params.initial_inventory
-    cert = (None if s_terminal is None
-            else Certificate(xi=_xi_from_terminal(params.impact, r[..., -1], s_terminal)))
     return ExecutionPlan(
         q=SampledPath(grid, q),
         r=SampledPath(grid, np.asarray(r, dtype=float)),
         strategy_tag=strategy_tag,
-        certificate=cert,
+        xi=None if s_terminal is None else _xi_from_terminal(params.impact, r[..., -1], s_terminal),
     )
 
 
@@ -198,22 +183,17 @@ def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def quadratic_trajectory(params: MarketParams, realized: SampledPath,
-                         expected: Optional[SampledPath] = None,
-                         k=None) -> tuple[np.ndarray, np.ndarray]:
+                         expected: SampledPath) -> tuple[np.ndarray, np.ndarray]:
     """Inventory and rate arrays of the quadratic-criterion schedule.
 
     q_t = (1-a(t)) x0 + xT sinh(c3 t)/sinh(c3 T) - conv_cosh(S)(t)/(2 c1^2) + K sinh(c3 t)
     with a(t) = 1 - sinh(c3 (T-t))/sinh(c3 T).  It solves q'' = c3^2 q - S'/(2 c1^2),
     the Euler-Lagrange equation of the running cost's c2^2 q^2, and the constant
     K is built from the forecast so that E[q_T] = xT.  The rate is the exact
-    time derivative.  A given ``k`` overrides K (the forecast is then unused);
-    it needs c2 > 0.
+    time derivative.
     Without risk aversion the schedule is the value-at-risk one at c2 = 0.
     """
-    if k is None:
-        require_shared_grid(realized, expected)
-    elif params.risk_neutral:
-        raise DomainError("window constants need c2 > 0")
+    require_shared_grid(realized, expected)
     if params.risk_neutral:
         return var_trajectory(replace(params, risk_aversion=0.0), realized, expected)
 
@@ -225,12 +205,11 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
     half_impact = 2.0 * c1**2
     conv_cosh, conv_sinh = _hyperbolic_convolutions(c3, t, s)
     sinh_t_full = math.sinh(c3 * T)
-    if k is None:
-        conv_cosh_e = (conv_cosh if expected is realized
-                       else _hyperbolic_convolutions(c3, t, expected.values)[0])
-        k = _col(conv_cosh_e[..., -1]) / (half_impact * sinh_t_full)
+    conv_cosh_e = (conv_cosh if expected is realized
+                   else _hyperbolic_convolutions(c3, t, expected.values)[0])
+    # K from the forecast, plus the target's xT sinh(c3 t)/sinh(c3 T)
+    k = _col(conv_cosh_e[..., -1]) / (half_impact * sinh_t_full) + x_t / sinh_t_full
     alpha = 1.0 - np.sinh(c3 * (T - t)) / sinh_t_full
-    k = k + x_t / sinh_t_full  # the target's xT sinh(c3 t)/sinh(c3 T)
     q = x0 - alpha * x0 - conv_cosh / half_impact + k * np.sinh(c3 * t)
     r = (
         c3 * np.cosh(c3 * (T - t)) / sinh_t_full * -x0
@@ -309,25 +288,6 @@ def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
     c3sq = params.risk_ratio**2
     return _euler_plan(params, realized, expected, quadratic_trajectory,
                        partial(_euler_ivp, drift=lambda tt, qq, ss: c3sq * qq), "quadratic")
-
-
-def certificate_quadratic(params: MarketParams, realized: SampledPath,
-                          expected: SampledPath, variance: SampledPath) -> Certificate:
-    """(C, xi) certificates of the quadratic schedule on this realization.
-
-    C^-1 = c3 int_0^T sinh(c3 (T-u)) Var^(1/2)(S_u) du, so the expectation
-    neighbourhood is unrestricted for a deterministic price or vanishing risk
-    aversion.  xi is the plan's own 1/|2 c1^2 r_T + S_T|.
-    """
-    t = require_shared_grid(realized, expected, variance).times
-    c3 = params.risk_ratio
-    _, r = quadratic_trajectory(params, realized, expected)
-    xi = _xi_from_terminal(params.impact, r[..., -1], realized.values[..., -1])
-    if params.risk_neutral:
-        return Certificate(xi=xi, c=math.inf)
-    c_inv = c3 * trapezoid(np.sinh(c3 * (params.horizon - t))
-                           * np.sqrt(np.maximum(variance.values, 0.0)), t)
-    return Certificate(xi=xi, c=math.inf if c_inv == 0.0 else 1.0 / c_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -441,51 +401,3 @@ def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
     """
     return _euler_plan(params, realized, expected, var_trajectory,
                        partial(_var_ivp, half_c3sq=0.5 * params.risk_ratio**2), "var")
-
-
-# ---------------------------------------------------------------------------
-# alternative terminal constraints (quadratic criterion)
-# ---------------------------------------------------------------------------
-
-def quadratic_with_terminal_constant(params: MarketParams, realized: SampledPath,
-                                     k_value: float) -> ExecutionPlan:
-    """Quadratic-criterion schedule with a caller-supplied terminal constant.
-
-    Used with ``alt_terminal_K``: substituting a window-based constant for
-    the standard one trades the unbiasedness E[q_T] = xT for a softer
-    terminal criterion, so the plan is tagged as biased.
-    """
-    q, r = quadratic_trajectory(params, realized, k=k_value)
-    return _plan(params, realized.grid, q, r, "good-quadratic-biased-terminal",
-                 realized.values[..., -1])
-
-
-def alt_terminal_K(params: MarketParams, expected: SampledPath, mode: str,
-                   t0: float) -> float:
-    """Terminal-adjustment constant for window-based relaxations of E[q_T] = xT.
-
-    A constant K gives the mean schedule q0(t) + K sinh(c3 t), with q0 the
-    forecast-fed schedule at K = 0.  Over the window w = [t0, T],
-    ``mode="mean-square-window"`` minimizes E[ mean_w (q_t - xT)^2 dt ]:
-    K = -int_w sinh(c3 t) (q0 - xT) / int_w sinh^2(c3 t);
-    ``mode="window-average"`` minimizes E[ (mean_w q_t dt - xT)^2 ]:
-    K = -int_w (q0 - xT) / int_w sinh(c3 t).
-    The resulting schedules are generally biased (they leave the unbiased
-    class); the mean-square window recovers the standard constant as t0 -> T.
-    """
-    T = params.horizon
-    if not 0.0 <= t0 < T:
-        raise DomainError("need 0 <= t0 < horizon")
-    if mode not in ("mean-square-window", "window-average"):
-        raise DomainError(f"unknown terminal mode {mode!r}")
-    # union of the forecast grid and a refinement of the window [t0, T]:
-    # q0 must be resolved inside possibly tiny windows
-    t = np.union1d(_horizon_times(params, expected.grid), np.linspace(t0, T, 513))
-    forecast = SampledPath(TimeGrid(t), np.interp(t, expected.grid.times, expected.values))
-    q0, _ = quadratic_trajectory(params, forecast, k=0.0)
-    win = t >= t0 - 1e-15 * max(1.0, T)
-    tw, gap = t[win], q0[win] - params.target_inventory
-    weight = np.sinh(params.risk_ratio * tw)
-    if mode == "mean-square-window":
-        return float(-trapezoid(weight * gap, tw) / trapezoid(weight**2, tw))
-    return float(-trapezoid(gap, tw) / trapezoid(weight, tw))

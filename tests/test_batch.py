@@ -112,7 +112,7 @@ def _reference(config):
             assert isinstance(j, float) and isinstance(plans[tag].terminal, float)
             cost[tag].append(j)
             term[tag].append(plans[tag].terminal - params.target_inventory)
-            xi[tag].append(plans[tag].certificate.xi if plans[tag].certificate else None)
+            xi[tag].append(plans[tag].xi)
         good = plans[f"good-{config.criterion}-closed"]
         panels.append(dict(times=grid.times, price=realized.values,
                            expected=_expected(realized).values,
@@ -184,8 +184,8 @@ def test_builders_on_a_block_equal_row_by_row(tag, params, grid):
         assert np.array_equal(plan.q.values[i], single.q.values)
         assert np.array_equal(plan.r.values[i], single.r.values)
         assert plan.terminal[i] == single.terminal
-        assert plan.certificate.xi[i] == single.certificate.xi
-        assert isinstance(single.terminal, float) and isinstance(single.certificate.xi, float)
+        assert plan.xi[i] == single.xi
+        assert isinstance(single.terminal, float) and isinstance(single.xi, float)
         if tag in IVP_DRIFTS:
             q, r = _euler_loop(tag, params, path, float(single.r.values[0]))
             assert single.q.values.tobytes() == q.tobytes()

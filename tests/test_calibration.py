@@ -65,8 +65,9 @@ def test_extract_target_scale_equivariance():
 def test_extract_target_window_validation():
     t = np.linspace(0.0, 1.0, 50)
     series = MidPriceSeries(t, np.ones(50))
-    with pytest.raises(DomainError):
-        extract_target(series, window=0.0)
+    for window in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="window"):
+            extract_target(series, window=window)
 
 
 def test_fit_ou_recovers_synthetic_parameters():

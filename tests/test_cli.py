@@ -207,6 +207,16 @@ def test_calibrate_verb(tmp_path, capsys):
     assert "alpha" in out and "lambda" in out
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--window", "nan"), ("--threshold", "nan"), ("--threshold", "inf")])
+def test_calibrate_non_finite_option_exit_code(tmp_path, capsys, option, value):
+    f = tmp_path / "mid.csv"
+    t = np.linspace(0.0, 1.0, 200)
+    f.write_text("\n".join(f"{ti},{100.0 + math.sin(40.0 * ti)}" for ti in t) + "\n")
+    assert main(["calibrate", str(f), option, value]) == 2
+    assert "must be a finite number > 0" in capsys.readouterr().err
+
+
 def test_backtest_verb(config_file, tmp_path, capsys):
     f = _history_csv(tmp_path / "hist.csv")
     out = tmp_path / "bt"

@@ -18,16 +18,34 @@ from pathexec import (
     good_exec_time_closed,
     good_exec_var_closed,
     airy_pair,
-    pathwise_f_weight,
     twap,
 )
-from pathexec.costs import _gram, _perturbation_matrix, _quadratic_form, _sine_basis
+from pathexec.costs import CRITERIA, _gram, _perturbation_matrix, _quadratic_form, _sine_basis
+from pathexec.pathcalc import trapezoid
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import Certificate, ExecutionPlan
+from pathexec.strategies import ExecutionPlan
 from dataclasses import replace
 
 PARAMS = MarketParams(impact=1.35, risk_aversion=1.15,
                       initial_inventory=1_000.0, horizon=1.0)
+
+
+def pathwise_f_weight(criterion, params, eta, rate=None):
+    """Reference F-weight of a perturbation, the oracle for the audit's Gram matrix.
+
+    quadratic: sqrt( int c2^2 eta^2 + c1^2 eta'^2 )
+    time:      sqrt( int c2^2 t eta^2 + c1^2 eta'^2 )
+    var:       sqrt( int c1^2 eta'^2 )      (the level term drops out)
+
+    The level weight is the running cost's ``a``.  The rate is taken by
+    finite differences unless an analytic one is given.
+    """
+    t = eta.grid.times
+    # central differences in the interior, one-sided at the ends
+    d_eta = rate if rate is not None else np.gradient(eta.values, t)
+    a, _ = CRITERIA[criterion](params.risk_aversion**2, t)
+    sq = a * eta.values**2 + params.impact**2 * d_eta**2
+    return math.sqrt(max(trapezoid(sq, t), 0.0))
 
 
 def test_cost_zero_plan_is_free(grid, brownian_path):
@@ -153,10 +171,17 @@ def test_audit_flags_a_non_optimal_plan(grid, brownian_path):
     # TWAP with a forged certificate is not pathwise optimal: the audit sees it
     e = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
     good = good_exec_quadratic_closed(PARAMS, brownian_path, e)
-    fake = replace(twap(PARAMS, grid), certificate=good.certificate)
+    fake = replace(twap(PARAMS, grid), xi=good.xi)
     report = audit_good_inequality("quadratic", PARAMS, brownian_path, fake,
                                    perturbations=300, seed=1)
     assert not report.ok
+
+
+def test_audit_needs_a_plan_with_xi(grid, brownian_path):
+    # TWAP certifies nothing, so there is no neighbourhood to audit
+    with pytest.raises(DomainError, match="audit needs xi"):
+        audit_good_inequality("quadratic", PARAMS, brownian_path, twap(PARAMS, grid),
+                              perturbations=10, seed=1)
 
 
 def _dense_basis(t, horizon):
@@ -189,7 +214,7 @@ def _dense_audit(criterion, params, realized, plan, perturbations, seed):
     coeffs = coeffs * scale / k
     bump_draws = np.random.Generator(np.random.PCG64(bump_seq)).uniform(-1.2, 1.2, perturbations)
     e, de = coeffs @ basis[:16], coeffs @ dbasis[:16]
-    xi = plan.certificate.xi
+    xi = plan.xi
     bumps = bump_draws * (xi if math.isfinite(xi) else 1.0) * weight_sq(e, de)
     e, de = e + np.outer(bumps, basis[16]), de + np.outer(bumps, dbasis[16])
     member = np.abs(e[:, -1]) <= (np.inf if math.isinf(xi) else xi * weight_sq(e, de))
@@ -226,8 +251,8 @@ def test_audit_matches_dense_reference(criterion, forged, grid, brownian_path):
     realized = brownian_path
     plan = _good_plan(criterion, PARAMS, realized)
     if forged:  # a non-optimal plan, so that the violation lists are not empty
-        cert = {"xi=0": Certificate(xi=0.0), "xi=inf": Certificate(xi=math.inf)}
-        plan = replace(twap(PARAMS, grid), certificate=cert.get(forged, plan.certificate))
+        xi = {"xi=0": 0.0, "xi=inf": math.inf}.get(forged, plan.xi)
+        plan = replace(twap(PARAMS, grid), xi=xi)
     report = audit_good_inequality(criterion, PARAMS, realized, plan,
                                    perturbations=300, seed=17)
     kept, violations, tol = _dense_audit(criterion, PARAMS, realized, plan, 300, seed=17)

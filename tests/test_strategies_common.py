@@ -24,7 +24,6 @@ from pathexec import (
     airy_pair,
     aposteriori_optimal,
     audit_good_inequality,
-    certificate_quadratic,
     challenger_plans,
     cost_J,
     good_exec_quadratic_closed,
@@ -39,7 +38,7 @@ from pathexec import (
     two_point_marks,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import ExecutionPlan, alt_terminal_K, quadratic_with_terminal_constant
+from pathexec.strategies import ExecutionPlan
 
 FIG2 = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0, horizon=1.0)
 GRID = TimeGrid.uniform(1.0, 512)
@@ -141,7 +140,6 @@ def test_every_grid_check_raises_grid_mismatch():
         lambda: challenger_plans(FIG2, expected, other, 1.0),
         lambda: cost_J("quadratic", FIG2, other, plan),
         lambda: audit_good_inequality("quadratic", FIG2, other, plan, perturbations=4, seed=1),
-        lambda: certificate_quadratic(FIG2, expected, expected, other),
         lambda: good_exec_time_closed(FIG2, expected, other, AIRY),
         lambda: good_exec_var_closed(FIG2, expected, other),
     ]
@@ -157,14 +155,11 @@ def test_every_builder_rejects_a_grid_off_the_market_horizon():
     grid = TimeGrid.uniform(2.0, 64)
     path = SampledPath.constant(grid, 100.0)
     calls = [
-        lambda: certificate_quadratic(FIG2, path, path, path),
         lambda: static_optimal(FIG2, path),
         lambda: aposteriori_optimal(FIG2, path),
         lambda: terminal_penalty_optimal(FIG2, path, path),
         lambda: twap(FIG2, grid),
         lambda: challenger_plans(FIG2, path, path, 1.0),
-        lambda: quadratic_with_terminal_constant(FIG2, path, 0.5),
-        lambda: alt_terminal_K(FIG2, path, "window-average", 0.5),
     ]
     calls += [lambda build=build, extra=extra: build(FIG2, path, path, *extra)
               for closed, ivp, extra in PAIRS.values() for build in (closed, ivp)]

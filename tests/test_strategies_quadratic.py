@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from pathexec import (
     ArithmeticBrownian,
@@ -12,14 +10,13 @@ from pathexec import (
     MarketParams,
     SampledPath,
     TimeGrid,
-    certificate_quadratic,
     good_exec_quadratic_closed,
     good_exec_quadratic_ivp,
     good_exec_var_closed,
     resample,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import alt_terminal_K, _euler_ivp
+from pathexec.strategies import _euler_ivp
 
 
 def const_paths(grid, level):
@@ -127,35 +124,6 @@ def test_euler_lagrange_flow_is_absolutely_continuous(fig2_params, brownian_path
     assert sums[2] <= 0.6 * sums[1] <= 0.6 * 0.6 * sums[0]
 
 
-def test_certificates(fig2_params, grid, brownian_path):
-    expected = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
-    variance = SampledPath(grid, 25.0 * grid.times)
-    cert = certificate_quadratic(fig2_params, brownian_path, expected, variance)
-    assert math.isfinite(cert.c) and cert.c > 0.0
-    assert math.isfinite(cert.xi) and cert.xi > 0.0
-    # deterministic price: C = +inf
-    zero_var = SampledPath.constant(grid, 0.0)
-    assert certificate_quadratic(fig2_params, brownian_path, expected, zero_var).c == math.inf
-    # risk-neutral: the C formula has prefactor c3
-    p0 = MarketParams(impact=1.35, risk_aversion=0.0, initial_inventory=10_000.0, horizon=1.0)
-    assert certificate_quadratic(p0, brownian_path, expected, variance).c == math.inf
-
-
-def test_certificate_against_quadrature_oracle():
-    # arithmetic-bm sigma=1, c3=1, T=1: C^-1 = int_0^1 sinh(1-u) sqrt(u) du
-    params = MarketParams(impact=1.0, risk_aversion=1.0, initial_inventory=1.0, horizon=1.0)
-    g = TimeGrid.uniform(1.0, 2**14)
-    s = SampledPath.constant(g, 1.0)
-    variance = SampledPath(g, g.times)
-    cert = certificate_quadratic(params, s, s, variance)
-    oracle, err = quad(lambda u: math.sinh(1.0 - u) * math.sqrt(u), 0.0, 1.0)
-    assert 1.0 / cert.c == pytest.approx(oracle, abs=max(1e-6, 10 * err))
-    # xi matches 1/|2 c1^2 r_T + S_T| computed from the plan itself
-    plan = good_exec_quadratic_closed(params, s, s)
-    f_t = 2.0 * params.impact**2 * plan.r.values[-1] + s.values[-1]
-    assert cert.xi == pytest.approx(1.0 / abs(f_t), rel=1e-9)
-
-
 def test_grid_and_domain_errors(fig2_params, grid, brownian_path):
     with pytest.raises(GridMismatchError):
         good_exec_quadratic_closed(
@@ -171,87 +139,6 @@ def test_market_params_reject_non_finite():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite"):
                 MarketParams(**{**good, field: value})
-
-
-def test_alt_terminal_window_constants():
-    params = MarketParams(impact=1.0, risk_aversion=1.0, initial_inventory=1.0, horizon=1.0)
-    g = TimeGrid.uniform(1.0, 2048)
-    expected = SampledPath.constant(g, 1.0)
-    t = g.times
-    k_base = np.trapezoid(np.cosh(1.0 - t) * expected.values, t) / (2.0 * math.sinh(1.0))
-    k_limit = alt_terminal_K(params, expected, "mean-square-window", 1.0 - 1e-6)
-    assert k_limit == pytest.approx(k_base, abs=1e-6)
-
-    # psi == 0 identically when the forecast is zero and x0 = xT = 0
-    p0 = MarketParams(impact=1.0, risk_aversion=1.0, initial_inventory=0.0, horizon=1.0)
-    zero = SampledPath.constant(g, 0.0)
-    assert alt_terminal_K(p0, zero, "mean-square-window", 0.25) == pytest.approx(0.0, abs=1e-15)
-    assert alt_terminal_K(p0, zero, "window-average", 0.25) == pytest.approx(0.0, abs=1e-15)
-
-    # window average at t0 = 0 against an independent quadrature oracle:
-    # psi = 2 c1^2 (xT - q0) = int_0^t cosh(c3 (t-u)) E_u du - 2 c1^2 (1-a(t)) (x0 - xT)
-    def psi(tt):
-        inner, _ = quad(lambda u: math.cosh(tt - u), 0.0, tt)
-        return inner - 2.0 * math.sinh(1.0 - tt) / math.sinh(1.0)
-
-    num, _ = quad(psi, 0.0, 1.0)
-    oracle = num / (2.0 * (math.cosh(1.0) - 1.0))
-    got = alt_terminal_K(params, expected, "window-average", 0.0)
-    assert got == pytest.approx(oracle, abs=1e-6)
-
-    with pytest.raises(DomainError):
-        alt_terminal_K(params, expected, "window-average", 1.0)
-    with pytest.raises(DomainError):
-        alt_terminal_K(params, expected, "nonsense", 0.5)
-
-
-def _window_oracle(params, mode, t0, level, slope):
-    """Brute-force minimizer of alt_terminal_K's objective for the forecast
-    level + slope t, with q0 written out analytically on a 2^16-step grid."""
-    c1, c3, T = params.impact, params.risk_ratio, params.horizon
-    x0, x_t = params.initial_inventory, params.target_inventory
-    t = np.linspace(0.0, T, 2**16 + 1)
-    conv = level * np.sinh(c3 * t) / c3 + slope * (np.cosh(c3 * t) - 1.0) / c3**2
-    sinh_full = math.sinh(c3 * T)
-    q0 = (x0 * np.sinh(c3 * (T - t)) + x_t * np.sinh(c3 * t)) / sinh_full - conv / (2.0 * c1**2)
-    w = t >= t0
-    tw, qw, sw = t[w], q0[w], np.sinh(c3 * t[w])
-    if mode == "mean-square-window":
-        objective = lambda k: np.trapezoid((qw + k * sw - x_t) ** 2, tw) / (T - t0)
-    else:
-        objective = lambda k: (np.trapezoid(qw + k * sw, tw) / (T - t0) - x_t) ** 2
-    return minimize_scalar(objective, bracket=(-1.0, 1.0), tol=1e-12).x
-
-
-@pytest.mark.parametrize("t0", [0.0, 0.25, 0.75])
-@pytest.mark.parametrize("c1", [0.5, 1.0 / math.sqrt(2.0), 1.0, 1.35])
-def test_alt_terminal_constant_minimizes_its_objective(c1, t0):
-    params = MarketParams(impact=c1, risk_aversion=1.3 * c1, initial_inventory=1.0,
-                          horizon=1.0, target_inventory=0.2)
-    g = TimeGrid.uniform(1.0, 256)
-    expected = SampledPath(g, 1.0 + 0.5 * g.times)
-    for mode in ("mean-square-window", "window-average"):
-        want = _window_oracle(params, mode, t0, 1.0, 0.5)
-        assert alt_terminal_K(params, expected, mode, t0) == pytest.approx(want, abs=1e-5)
-
-
-def test_terminal_constant_substitution():
-    params = MarketParams(impact=1.0, risk_aversion=1.0, initial_inventory=1.0, horizon=1.0)
-    g = TimeGrid.uniform(1.0, 2048)
-    s = SampledPath.constant(g, 1.0)
-    from pathexec.strategies import quadratic_with_terminal_constant
-
-    # with the near-limit window constant the schedule reproduces the
-    # standard one; with a generic window it leaves the unbiased class
-    k_near = alt_terminal_K(params, s, "mean-square-window", 1.0 - 1e-6)
-    near = quadratic_with_terminal_constant(params, s, k_near)
-    standard = good_exec_quadratic_closed(params, s, s)
-    assert np.max(np.abs(near.q.values - standard.q.values)) <= 1e-5
-    assert near.strategy_tag == "good-quadratic-biased-terminal"
-    k_wide = alt_terminal_K(params, s, "window-average", 0.0)
-    wide = quadratic_with_terminal_constant(params, s, k_wide)
-    assert abs(wide.terminal) > 1e-3  # biased terminal by construction
-    assert wide.q.values[0] == 1.0
 
 
 def test_plan_rate_consistency(fig2_params, grid, brownian_path):

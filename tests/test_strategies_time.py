@@ -135,7 +135,7 @@ def test_certificates_agree_between_routes(airy, grid, brownian_path):
     e = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
     cl = good_exec_time_closed(PARAMS, brownian_path, e, airy)
     iv = good_exec_time_ivp(PARAMS, brownian_path, e, airy)
-    assert cl.certificate.xi == pytest.approx(iv.certificate.xi, rel=1e-3)
+    assert cl.xi == pytest.approx(iv.xi, rel=1e-3)
 
 
 def test_unbiasedness_small_monte_carlo(airy):

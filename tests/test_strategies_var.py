@@ -116,7 +116,11 @@ def test_certificate_xi_matches_formula(grid, brownian_path):
     k = np.trapezoid(e.values - c2**2 * inner, t) / (2 * c1**2 * 1.0)
     f_t = abs(2 * c1**2 * (0.0 - 10_000.0) / 1.0 + 2 * c1**2 * k
               + c2**2 * np.trapezoid(brownian_path.values, t))
-    assert plan.certificate.xi == pytest.approx(1.0 / f_t, rel=1e-9)
+    assert plan.xi == pytest.approx(1.0 / f_t, rel=1e-9)
+    # the quadratic plan's xi is 1/|2 c1^2 r_T + S_T| at its own terminal rate
+    quad = good_exec_quadratic_closed(PARAMS, brownian_path, e)
+    f_quad = abs(2 * c1**2 * quad.r.values[-1] + brownian_path.values[-1])
+    assert quad.xi == pytest.approx(1.0 / f_quad, rel=1e-9)
 
 
 def _var_ivp_cases():
