@@ -39,7 +39,6 @@ class MidPriceSeries:
 
     timestamps: np.ndarray
     prices: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.timestamps, dtype=float)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .pathcalc import SampledPath, require_shared_grid, trapezoid
-from .strategies import ExecutionPlan, MarketParams
+from .strategies import CRITERIA, ExecutionPlan, MarketParams
 
 __all__ = [
     "CRITERIA",
@@ -29,14 +29,6 @@ __all__ = [
     "AuditReport",
     "audit_good_inequality",
 ]
-
-# criterion -> level weights (c2^2, t) -> (a, b) of the running cost
-# r S + c1^2 r^2 + a q^2 + b q S
-CRITERIA = {
-    "quadratic": lambda c2sq, t: (c2sq, 0.0),
-    "time": lambda c2sq, t: (c2sq * t, 0.0),
-    "var": lambda c2sq, t: (0.0, c2sq),
-}
 
 # absolute tolerance absorbing quadrature noise in inequality audits
 AUDIT_TOL_SCALE = 1e-9

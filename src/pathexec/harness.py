@@ -60,8 +60,7 @@ STRATEGIES = {
     "good-var-ivp": lambda p, s, e, a: strategies.good_exec_var_ivp(p, s, e),
     "static": lambda p, s, e, a: baselines.static_optimal(p, e),
     "aposteriori": lambda p, s, e, a: baselines.aposteriori_optimal(p, s),
-    "terminal-penalty": lambda p, s, e, a: baselines.terminal_penalty_optimal(
-        p, e, SampledPath.constant(e.grid, 0.0)),
+    "terminal-penalty": lambda p, s, e, a: baselines.terminal_penalty_optimal(p, e, e),
     "twap": lambda p, s, e, a: baselines.twap(p, e.grid),
 }
 ALL_STRATEGIES = tuple(STRATEGIES)
@@ -90,9 +89,11 @@ class ScenarioConfig:
             raise ConfigError("seed must fit an unsigned 64-bit integer")
         if self.criterion not in costs.CRITERIA:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
-        for tag in self.strategy_tags:
+        for i, tag in enumerate(self.strategy_tags):
             if tag not in ALL_STRATEGIES:
                 raise ConfigError(f"unknown strategy tag {tag!r}")
+            if tag in self.strategy_tags[:i]:
+                raise ConfigError(f"strategy tag {tag!r} is listed twice")
 
     def grid(self) -> TimeGrid:
         return TimeGrid.uniform(self.params.horizon, self.grid_steps)
@@ -252,7 +253,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _series(t, p, lines, source: str, stop=None) -> calibration.MidPriceSeries:
+def _series(t, p, lines, stop=None) -> calibration.MidPriceSeries:
     """The ingest rules, for the rows of either format reduced to arrays.
 
     Values are finite, prices > 0 and times never decrease; the first row
@@ -275,11 +276,10 @@ def _series(t, p, lines, source: str, stop=None) -> calibration.MidPriceSeries:
     new = t[1:] != t[:-1]
     if not new.any():
         raise CsvParseError("need at least two distinct timestamps" if t.size else "empty file")
-    return calibration.MidPriceSeries(t[np.append(True, new)], p[np.append(new, True)],
-                                      source=source)
+    return calibration.MidPriceSeries(t[np.append(True, new)], p[np.append(new, True)])
 
 
-def _read_rows(rows, source: str) -> calibration.MidPriceSeries:
+def _read_rows(rows) -> calibration.MidPriceSeries:
     """``_series`` of a reader's (time, price, line) rows, up to its first error."""
     kept, stop = [], None
     try:
@@ -287,7 +287,7 @@ def _read_rows(rows, source: str) -> calibration.MidPriceSeries:
             kept.append(row)
     except CsvParseError as exc:
         stop = exc
-    return _series(*np.array(kept, dtype=float).reshape(-1, 3).T, source, stop)
+    return _series(*np.array(kept, dtype=float).reshape(-1, 3).T, stop)
 
 
 def _numbered_lines(path: str):
@@ -317,7 +317,7 @@ def _time_price_rows(path: str):
 
 def _scan_time_price(path: str) -> calibration.MidPriceSeries:
     """Line-by-line reader: the definition of the ``time,price`` format."""
-    return _read_rows(_time_price_rows(path), path)
+    return _read_rows(_time_price_rows(path))
 
 
 # np.loadtxt opens a path through numpy's DataSource, which decompresses these
@@ -338,7 +338,7 @@ def _parse_time_price(path: str) -> calibration.MidPriceSeries:
             warnings.simplefilter("error", UserWarning)  # no data rows
             data = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None,
                               ndmin=2, skiprows=first[2] - 1, encoding="utf-8")
-        return _series(data[:, 0], data[:, 1], None, path)
+        return _series(data[:, 0], data[:, 1], None)
     except (ValueError, UserWarning, CsvParseError, StopIteration):
         return _scan_time_price(path)
 
@@ -367,7 +367,7 @@ def _parse_lobster(message_path: str) -> calibration.MidPriceSeries:
     book_path = message_path.replace("message", "orderbook")
     if book_path == message_path or not os.path.exists(book_path):
         raise CsvParseError("lobster-mid needs a *message*.csv with a matching *orderbook*.csv")
-    return _read_rows(_lobster_rows(message_path, book_path), message_path)
+    return _read_rows(_lobster_rows(message_path, book_path))
 
 
 def ingest_csv(path: str, fmt: str = "time-price") -> calibration.MidPriceSeries:

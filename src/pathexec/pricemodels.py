@@ -269,10 +269,6 @@ class DeterministicPrice:
 
     fn: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def s0(self) -> float:
-        return float(self.fn(np.zeros(1))[0])
-
     def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
         return np.tile(np.asarray(self.fn(grid.times), dtype=float), (len(seeds), 1))
 

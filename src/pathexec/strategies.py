@@ -5,11 +5,13 @@ neighbourhoods of competitors, for three risk criteria:
 * ``time``       --  running cost  r S + c1^2 r^2 + c2^2 t q^2
 * ``var``        --  running cost  r S + c1^2 r^2 + c2^2 q S   (value-at-risk style)
 
-Each criterion comes in two equivalent constructions: a closed-form
-trajectory driven by cumulative integrals of the realized price, and an
-explicit-Euler initial-value stepper for the second-order system
+``CRITERIA`` holds each criterion's level weights (a, b) of the running cost
+r S + c1^2 r^2 + a q^2 + b q S.  Each criterion comes in two equivalent
+constructions: a closed-form trajectory driven by cumulative integrals of the
+realized price, and an explicit-Euler initial-value stepper for the
+criterion's Euler-Lagrange equations
 
-    dq = r dt,      dr = (criterion drift) dt - dS / (2 c1^2),
+    dq = r dt,      dr = (a q + b S/2) dt / c1^2 - dS / (2 c1^2),
 
 where the price increment enters exactly per step (jumps are never
 smoothed).  The stepper starts from its closed form's rate at t = 0.  Both
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,7 @@ from .pathcalc import (SampledPath, TimeGrid, cumulative_trapezoid, cumulative_y
                        require_shared_grid)
 
 __all__ = [
+    "CRITERIA",
     "MarketParams",
     "ExecutionPlan",
     "good_exec_quadratic_closed",
@@ -51,6 +53,15 @@ __all__ = [
 # below this value of c3*T the hyperbolic ratios are replaced by their
 # risk-neutral (c3 -> 0) limits to avoid 0/0
 DEGENERATE_C3T = 1e-8
+
+# criterion -> level weights (c2^2, t) -> (a, b) of the running cost
+# r S + c1^2 r^2 + a q^2 + b q S.  Each entry is linear in c2^2, so at
+# c3^2 = c2^2/c1^2 it gives the weights over c1^2.
+CRITERIA = {
+    "quadratic": lambda c2sq, t: (c2sq, 0.0),
+    "time": lambda c2sq, t: (c2sq * t, 0.0),
+    "var": lambda c2sq, t: (0.0, c2sq),
+}
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,10 @@ class MarketParams:
             raise DomainError("market parameters must be finite")
         if self.impact <= 0.0:
             raise DomainError("impact coefficient must be > 0")
+        half_impact = 2.0 * self.impact * self.impact  # ** raises OverflowError, * gives inf
+        if not (0.0 < half_impact < math.inf and 1.0 / half_impact < math.inf):
+            raise DomainError(f"impact {self.impact:g} is out of range: 2 c1^2 and "
+                              "1/(2 c1^2) must be finite, nonzero doubles")
         if self.risk_aversion < 0.0 or self.terminal_penalty < 0.0:
             raise DomainError("risk aversion and terminal penalty must be >= 0")
         if self.horizon <= 0.0:
@@ -227,67 +242,64 @@ def good_exec_quadratic_closed(params: MarketParams, realized: SampledPath,
 
 
 def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
-               drift) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit Euler for dq = r dt, dr = drift(t, q, s) dt - dS/(2 c1^2).
+               a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit Euler for dq = r dt, dr = (a q + b S/2) dt - dS/(2 c1^2).
 
-    Loops over time only, stepping every path (row) of ``s`` at once; the
-    time rows are split into lists and t, dt into floats once, before the loop.
+    ``a`` and ``b`` are a criterion's level weights over c1^2, scalars or one
+    per time; they, not the criterion's name, pick the kernel.  When the drift
+    reads q, a loop over time steps every path (row) of ``s`` at once; the
+    time rows are split into lists and a, dt into floats once, before the
+    loop.  With a == 0, r accumulates [r0, (b_0/2 S_0) dt_0, -dS_0/(2 c1^2),
+    ...] and q accumulates [x0, r_0 dt_0, ...]; a sequential accumulate adds
+    in the loop's order, so the bytes are the loop's.
     """
+    dt = np.diff(t)
+    a, b = (np.broadcast_to(w, t.shape)[:-1] for w in (a, b))  # at each step's start
+    if not np.any(a):
+        steps = np.empty(s.shape[:-1] + (2 * t.size - 1,))
+        steps[..., 0] = r0
+        steps[..., 1::2] = (0.5 * b) * s[..., :-1] * dt
+        steps[..., 2::2] = -(np.diff(s) / (2.0 * c1**2))
+        r = np.add.accumulate(steps, axis=-1, out=steps)[..., ::2].copy()
+        q = np.empty(s.shape)
+        q[..., 0] = x0
+        np.multiply(r[..., :-1], dt, out=q[..., 1:])
+        return np.add.accumulate(q, axis=-1, out=q), r
+    if np.any(b):
+        raise DomainError("the Euler stepper takes a q^2 or a q S weight, not both")
     s_time = s.reshape(-1, s.shape[-1]).T  # a 1-D path is the one-path block
     q = np.empty(s_time.shape)
     r = np.empty(s_time.shape)
     q[0], r[0] = x0, r0
     jump = list(np.diff(s_time, axis=0) / (2.0 * c1**2))
-    q_rows, r_rows, s_rows = list(q), list(r), list(s_time)
-    for i, (t_i, dt_i) in enumerate(zip(t.tolist(), np.diff(t).tolist())):
+    q_rows, r_rows = list(q), list(r)
+    for i, (a_i, dt_i) in enumerate(zip(a.tolist(), dt.tolist())):
         np.add(q_rows[i], r_rows[i] * dt_i, out=q_rows[i + 1])
-        np.subtract(r_rows[i] + drift(t_i, q_rows[i], s_rows[i]) * dt_i, jump[i],
-                    out=r_rows[i + 1])
+        np.subtract(r_rows[i] + (a_i * q_rows[i]) * dt_i, jump[i], out=r_rows[i + 1])
     return q.T.reshape(s.shape), r.T.reshape(s.shape)
 
 
-def _var_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
-             half_c3sq: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_euler_ivp`` with the drift (c3^2/2) S_t, as two running sums.
-
-    The drift does not read q, so r accumulates [r0, (c3^2/2 S_0) dt_0,
-    -dS_0/(2 c1^2), ...] and q accumulates [x0, r_0 dt_0, ...]; a sequential
-    accumulate adds in the loop's order, so the bytes are the loop's.
-    """
-    dt = np.diff(t)
-    steps = np.empty(s.shape[:-1] + (2 * t.size - 1,))
-    steps[..., 0] = r0
-    steps[..., 1::2] = half_c3sq * s[..., :-1] * dt
-    steps[..., 2::2] = -(np.diff(s) / (2.0 * c1**2))
-    r = np.add.accumulate(steps, axis=-1, out=steps)[..., ::2].copy()
-    q = np.empty(s.shape)
-    q[..., 0] = x0
-    np.multiply(r[..., :-1], dt, out=q[..., 1:])
-    return np.add.accumulate(q, axis=-1, out=q), r
-
-
 def _euler_plan(params: MarketParams, realized: SampledPath, expected: SampledPath,
-                trajectory, step, criterion: str) -> ExecutionPlan:
+                trajectory, criterion: str) -> ExecutionPlan:
     """The ``good-{criterion}-ivp`` plan stepped from x0 and the closed form's r(0).
 
-    ``step(t, s, r0, x0, c1)`` returns (q, r).  The forecast-fed closed form
-    gives r(0) for S_0 = E_0; every criterion's r(0) moves by
-    -(S_0 - E_0)/(2 c1^2) with the realized start.
+    The stepper's weights are ``CRITERIA[criterion]`` at c3^2 = c2^2/c1^2.
+    The forecast-fed closed form gives r(0) for S_0 = E_0; every criterion's
+    r(0) moves by -(S_0 - E_0)/(2 c1^2) with the realized start.
     """
     require_shared_grid(realized, expected)
+    t = realized.grid.times
     s0_gap = realized.values[..., 0] - expected.values[..., 0]
     r0 = trajectory(params, expected, expected)[1][..., 0] - s0_gap / (2.0 * params.impact**2)
-    q, r = step(realized.grid.times, realized.values, r0, params.initial_inventory,
-                params.impact)
+    q, r = _euler_ivp(t, realized.values, r0, params.initial_inventory, params.impact,
+                      *CRITERIA[criterion](params.risk_ratio**2, t))
     return _plan(params, realized.grid, q, r, f"good-{criterion}-ivp", realized.values[..., -1])
 
 
 def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
                             expected: SampledPath) -> ExecutionPlan:
-    """Euler-stepped quadratic schedule: dr = c3^2 q dt - dS/(2 c1^2)."""
-    c3sq = params.risk_ratio**2
-    return _euler_plan(params, realized, expected, quadratic_trajectory,
-                       partial(_euler_ivp, drift=lambda tt, qq, ss: c3sq * qq), "quadratic")
+    """Euler-stepped quadratic schedule."""
+    return _euler_plan(params, realized, expected, quadratic_trajectory, "quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +365,9 @@ def good_exec_time_closed(params: MarketParams, realized: SampledPath,
 
 def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
                        expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
-    """Euler-stepped time-weighted schedule: dr = c3^2 t q dt - dS/(2 c1^2)."""
-    c3sq = params.risk_ratio**2
+    """Euler-stepped time-weighted schedule."""
     return _euler_plan(params, realized, expected,
-                       lambda p, s, e: time_trajectory(p, s, e, airy),
-                       partial(_euler_ivp, drift=lambda tt, qq, ss: c3sq * tt * qq), "time")
+                       lambda p, s, e: time_trajectory(p, s, e, airy), "time")
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +404,5 @@ def good_exec_var_closed(params: MarketParams, realized: SampledPath,
 
 def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
                       expected: SampledPath) -> ExecutionPlan:
-    """Euler-stepped schedule: dr = (c3^2/2) S_t dt - dS/(2 c1^2).
-
-    The drift carries no explicit t factor: differentiating the closed form
-    twice gives q'' dt = (c3^2/2) S_t dt - dS/(2 c1^2) directly.
-    """
-    return _euler_plan(params, realized, expected, var_trajectory,
-                       partial(_var_ivp, half_c3sq=0.5 * params.risk_ratio**2), "var")
+    """Euler-stepped schedule under the value-at-risk style criterion."""
+    return _euler_plan(params, realized, expected, var_trajectory, "var")

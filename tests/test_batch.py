@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from pathexec import (
+    ConfigError,
     DomainError,
     MarketParams,
     SampledPath,
@@ -64,8 +65,7 @@ BUILDERS = {
     "good-var-ivp": lambda p, s: good_exec_var_ivp(p, s, _expected(s)),
     "static": lambda p, s: static_optimal(p, _expected(s)),
     "aposteriori": lambda p, s: aposteriori_optimal(p, s),
-    "terminal-penalty": lambda p, s: terminal_penalty_optimal(
-        p, _expected(s), SampledPath.constant(s.grid, 0.0)),
+    "terminal-penalty": lambda p, s: terminal_penalty_optimal(p, _expected(s), _expected(s)),
     "twap": lambda p, s: twap(p, s.grid),
 }
 BLOCK_TAGS = [t for t in BUILDERS if t in GOOD_STRATEGIES + ("aposteriori",)]
@@ -156,15 +156,12 @@ def test_run_scenario_equals_per_path_loop(criterion, block_paths, params, grid,
             assert np.array_equal(getattr(bundle, name), values), name
 
 
-def test_repeated_tag_is_evaluated_once():
+def test_repeated_tag_is_a_config_error():
+    # summary.json keys its rows by tag, so a repeated tag would print a row it cannot hold
     config = ScenarioConfig(model=MODEL, params=PARAMS, grid_steps=GRID.times.size - 1,
                             paths=3, seed=5, strategy_tags=("static", "twap", "static"))
-    stats = run_scenario(config).stats
-    assert [s.tag for s in stats] == ["static", "twap", "static"]
-    single = run_scenario(ScenarioConfig(model=MODEL, params=PARAMS,
-                                         grid_steps=GRID.times.size - 1, paths=3, seed=5,
-                                         strategy_tags=("static",))).stats
-    assert stats[0] == stats[2] == single[0]
+    with pytest.raises(ConfigError, match="^strategy tag 'static' is listed twice$"):
+        run_scenario(config)
 
 
 def _block(paths=5, grid=GRID):

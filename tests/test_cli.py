@@ -113,6 +113,25 @@ def test_non_finite_model_level_exit_code(tmp_path, capsys, model, key, value):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("impact", ["1e-170", "1e200"])
+def test_impact_out_of_double_range_exit_code(tmp_path, capsys, impact):
+    # 1e-170 squares to zero, so 1/(2 c1^2) is inf; 1e200 squares past the largest double
+    bad = tmp_path / "impact.cfg"
+    bad.write_text(CONFIG.replace("params.impact = 1.35", f"params.impact = {impact}")
+                   .replace("params.risk_aversion = 1.15", "params.risk_aversion = 0"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"impact {float(impact):g} is out of range" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_strategy_tag_exit_code(tmp_path, capsys):
+    bad = tmp_path / "twice.cfg"
+    bad.write_text(CONFIG.replace("good-quadratic-closed, static, twap", "static, twap, static"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: strategy tag 'static' is listed twice\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_urgency_past_airy_range_exit_code(tmp_path, capsys):
     # c3 = risk_aversion / impact = 600 at T = 1: past the Airy basis' range
     bad = tmp_path / "urgent.cfg"

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, cli, costs,
-                      harness, pricemodels, strategies)
+from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, TimeGrid, cli,
+                      costs, harness, pricemodels, static_optimal, strategies)
 from pathexec.harness import (
     TRAJECTORY_COLUMNS,
     ScenarioConfig,
@@ -177,6 +177,19 @@ def test_validation_errors():
         run_scenario(basic_config(criterion="bogus"))
     with pytest.raises(ConfigError):
         run_scenario(basic_config(strategy_tags=("momentum",)))
+
+
+def test_terminal_penalty_tag_drifts_with_the_forecast():
+    # a huge penalty pins q_T to xT; with the forecast as its drift the plan is
+    # then the static optimum, within criterion 6's bound of 1e-4 x0
+    params = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0,
+                          horizon=1.0, terminal_penalty=1e6 * 1.35)
+    grid = TimeGrid.uniform(1.0, 512)
+    model = BrownianBridge(s0=100.0, face_value=200.0, sigma=1.0, maturity=1.0)
+    e = pricemodels.expected_path(model, grid)
+    plan = harness.STRATEGIES["terminal-penalty"](params, e, e, None)
+    static = static_optimal(params, e)
+    assert np.max(np.abs(plan.q.values - static.q.values)) <= 1e-4 * params.initial_inventory
 
 
 def test_emit_plotdata_and_byte_stability(tmp_path):

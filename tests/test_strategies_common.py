@@ -38,7 +38,7 @@ from pathexec import (
     two_point_marks,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import ExecutionPlan
+from pathexec.strategies import ExecutionPlan, _euler_ivp
 
 FIG2 = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0, horizon=1.0)
 GRID = TimeGrid.uniform(1.0, 512)
@@ -128,6 +128,13 @@ def test_ivp_equals_the_indexed_euler_loop(criterion):
                                LOOPED_DRIFTS[criterion])
     assert plan.q.values.tobytes() == q.tobytes()
     assert plan.r.values.tobytes() == r.tobytes()
+
+
+def test_euler_stepper_refuses_weights_on_both_q_terms():
+    # no criterion weights both q^2 and q S; the stepper has no kernel for it
+    flat = SampledPath.constant(GRID, 100.0)
+    with pytest.raises(DomainError, match="not both"):
+        _euler_ivp(GRID.times, flat.values, 0.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_every_grid_check_raises_grid_mismatch():

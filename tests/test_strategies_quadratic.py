@@ -16,7 +16,7 @@ from pathexec import (
     resample,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import _euler_ivp
+from pathexec.strategies import CRITERIA, _euler_ivp
 
 
 def const_paths(grid, level):
@@ -99,7 +99,7 @@ def test_ivp_rate_perturbation_grows_like_sinh(fig2_params, grid, brownian_path)
     delta = 1e-3
     q2, _ = _euler_ivp(
         grid.times, brownian_path.values, base.r.values[0] + delta, 10_000.0,
-        fig2_params.impact, lambda tt, qq, ss: c3**2 * qq,
+        fig2_params.impact, *CRITERIA["quadratic"](c3**2, grid.times),
     )
     law = delta * np.sinh(c3 * grid.times) / c3
     assert np.max(np.abs((q2 - base.q.values) - law)) <= 5.0 * delta * grid.mesh

@@ -15,7 +15,6 @@ from pathexec import (
     resample,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import _euler_ivp
 
 PARAMS = MarketParams(impact=1.35, risk_aversion=1.15,
                       initial_inventory=10_000.0, horizon=1.0)
@@ -142,16 +141,28 @@ def _var_ivp_cases():
     }
 
 
+def _per_step_euler_loop(t, s, r0, x0, c1, half_c3sq):
+    """Reference stepper: one step at a time, with the var drift (c3^2/2) S_t."""
+    s_time = s.T
+    q = np.empty(s_time.shape)
+    r = np.empty(s_time.shape)
+    q[0], r[0] = x0, r0
+    jump = np.diff(s_time, axis=0) / (2.0 * c1**2)
+    dt = np.diff(t)
+    for i in range(t.size - 1):
+        q[i + 1] = q[i] + r[i] * dt[i]
+        r[i + 1] = r[i] + half_c3sq * s_time[i] * dt[i] - jump[i]
+    return q.T, r.T
+
+
 @pytest.mark.parametrize("case", sorted(_var_ivp_cases()))
 def test_var_ivp_equals_the_per_step_euler_loop(case):
-    # the reference is the loop the quadratic and time steppers run, with the
-    # var drift (c3^2/2) S_t; the two running sums must give its bytes
+    # the two running sums must give the bytes of the per-step loop
     params, realized, expected = _var_ivp_cases()[case]
     plan = good_exec_var_ivp(params, realized, expected)
-    half_c3sq = 0.5 * params.risk_ratio**2
-    q, r = _euler_ivp(realized.grid.times, realized.values, plan.r.values[..., 0],
-                      params.initial_inventory, params.impact,
-                      lambda tt, qq, ss: half_c3sq * ss)
+    q, r = _per_step_euler_loop(realized.grid.times, realized.values, plan.r.values[..., 0],
+                                params.initial_inventory, params.impact,
+                                0.5 * params.risk_ratio**2)
     assert plan.q.values.shape == plan.r.values.shape == realized.values.shape
     assert plan.q.values.tobytes() == q.tobytes()
     assert plan.r.values.tobytes() == r.tobytes()
