@@ -12,10 +12,11 @@ import sys
 import numpy as np
 
 from .calibration import calibrate_ou_jump, extract_target
-from .errors import ConfigError, PathexecError
-from .harness import (RunArtifact, _overflow_is_domain_error, emit_plotdata, evaluate_block,
-                      ingest_csv, load_config, run_scenario, trajectory_bundles)
-from .pathcalc import SampledPath, TimeGrid
+from .errors import PathexecError
+from .harness import (SCENARIO_KEYS, RunArtifact, ScenarioConfig, _overflow_is_domain_error,
+                      _parse_kv, config_from_keys, emit_plotdata, evaluate_block, ingest_csv,
+                      run_scenario, trajectory_bundles)
+from .pathcalc import SampledPath, TimeGrid, resample
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 2, 3
 # printed label -> replayed strategy; "good" is quadratic whatever the criterion
@@ -25,12 +26,12 @@ BACKTEST_STRATEGIES = {"static": "static", "good": "good-quadratic-closed",
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="scenario config file")
-    p.add_argument("--seed", type=int, default=None, help="override root seed")
-    p.add_argument("--paths", type=int, default=None, help="override path count")
-    p.add_argument("--grid", type=int, default=None, help="override grid steps")
-    p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument("--dump-trajectories", action="store_true",
-                   help="write per-path trajectory CSVs")
+    # each option below sets the scenario key of its name, over the file's value
+    for key, blurb in (("seed", "root seed"), ("paths", "path count"), ("grid", "grid steps"),
+                       ("out", "output directory")):
+        p.add_argument(f"--{key}", help=f"set the key {key}: {blurb}")
+    p.add_argument("--dump-trajectories", action="store_const", const="true",
+                   help="set the key dump_trajectories: write per-path trajectory CSVs")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,6 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         ("compare", "print a strategy comparison table")):
         p = sub.add_parser(verb, help=blurb)
         _add_common(p)
+        p.set_defaults(command=_cmd_scenario)
+        if verb == "simulate":
+            p.set_defaults(dump_trajectories="true")
 
     p = sub.add_parser("backtest", help="replay strategies on a historical csv")
     p.add_argument("csv", help="price series file")
@@ -51,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=None,
                    help="moving-average window for the price forecast")
     _add_common(p)
+    p.set_defaults(command=_cmd_backtest)
 
     p = sub.add_parser("calibrate", help="fit the jump-diffusion model to a csv")
     p.add_argument("csv", help="price series file")
@@ -60,21 +65,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="moving-average window (default: a tenth of the span)")
     p.add_argument("--threshold", type=float, default=4.0,
                    help="jump threshold in transition standard deviations")
+    p.set_defaults(command=_cmd_calibrate)
     return ap
 
 
-def _apply_overrides(config, args) -> None:
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.paths is not None:
-        config.paths = args.paths
-    if args.grid is not None:
-        config.grid_steps = args.grid
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.dump_trajectories:
-        config.dump_trajectories = True
-    config.validate()
+def _scenario(args) -> ScenarioConfig:
+    keys = _parse_kv(args.config)
+    keys.update((key, value) for key, value in vars(args).items()
+                if key in SCENARIO_KEYS and value is not None)
+    return config_from_keys(keys)
 
 
 def _print_stats(artifact) -> None:
@@ -91,22 +90,17 @@ def _print_stats(artifact) -> None:
                   f"q50={q['q50']:.4g} q90={q['q90']:.4g}")
 
 
-def _cmd_scenario(args, dump_default: bool) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    if dump_default and not config.dump_trajectories:
-        config.dump_trajectories = True
-    artifact = run_scenario(config)
+def _cmd_scenario(args) -> int:
+    artifact = run_scenario(_scenario(args))
     _print_stats(artifact)
-    files = emit_plotdata(artifact, config.out_dir)
-    print(f"wrote {len(files)} files to {config.out_dir}")
+    files = emit_plotdata(artifact, artifact.config.out_dir)
+    print(f"wrote {len(files)} files to {artifact.config.out_dir}")
     return EXIT_OK
 
 
 def _cmd_backtest(args) -> int:
     series = ingest_csv(args.csv, args.format)
-    config = load_config(args.config)
-    _apply_overrides(config, args)
+    config = _scenario(args)
     # window in the series' own time units
     window = args.window if args.window is not None else series.span / 10.0
 
@@ -114,13 +108,11 @@ def _cmd_backtest(args) -> int:
     # the normalized horizon; the forecast is the moving-average target
     grid = TimeGrid.uniform(config.params.horizon, config.grid_steps)
     scale = config.params.horizon / series.span
-    t_norm = (series.timestamps - series.timestamps[0]) * scale
-    idx = np.clip(np.searchsorted(t_norm, grid.times, side="right") - 1, 0,
-                  series.prices.size - 1)
-    realized = SampledPath(grid, series.prices[idx])
-    target = extract_target(series, window)
-    expected = SampledPath(grid, np.exp(np.interp(grid.times / scale, target.grid.times,
-                                                  target.values)))
+    history = SampledPath(TimeGrid((series.timestamps - series.timestamps[0]) * scale),
+                          series.prices)
+    realized = resample(history, grid, "previous")
+    target = resample(extract_target(series, window), TimeGrid(grid.times / scale), "linear")
+    expected = SampledPath(grid, np.exp(target.values))
 
     with _overflow_is_domain_error(config.params):
         plans, rows = evaluate_block(config.criterion, config.params, realized, expected,
@@ -151,15 +143,7 @@ def _cmd_calibrate(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "simulate":
-            return _cmd_scenario(args, dump_default=True)
-        if args.verb in ("montecarlo", "compare"):
-            return _cmd_scenario(args, dump_default=False)
-        if args.verb == "backtest":
-            return _cmd_backtest(args)
-        if args.verb == "calibrate":
-            return _cmd_calibrate(args)
-        raise ConfigError(f"unknown verb {args.verb!r}")
+        return args.command(args)
     except PathexecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -146,17 +146,16 @@ def _quadratic_form(criterion: str, params: MarketParams, realized: SampledPath,
 
 def audit_good_inequality(criterion: str, params: MarketParams,
                           realized: SampledPath, plan: ExecutionPlan,
-                          perturbations: int, seed: int,
-                          endpoint_bump: bool = True) -> AuditReport:
+                          perturbations: int, seed: int) -> AuditReport:
     """Probe the pathwise inequality J(q+e) >= J(q) inside the tubular set.
 
-    Samples random perturbations e with e(0) = 0 built from sine modes; with
-    ``endpoint_bump`` each perturbation also carries a t/T ramp whose size is
-    drawn relative to its own tubular radius xi |e|_F^2, so the sample covers
-    the interior and straddles the boundary of the neighbourhood.  Kept
-    perturbations are those with |e_T| <= xi |e|_F^2 for the schedule's
-    certificate xi; every kept one whose cost improves on the schedule by
-    more than the quadrature tolerance 1e-9 (1 + |J(q)|) is a violation.
+    Samples random perturbations e with e(0) = 0 built from sine modes plus a
+    t/T ramp whose size is drawn relative to the perturbation's own tubular
+    radius xi |e|_F^2, so the sample covers the interior and straddles the
+    boundary of the neighbourhood.  Kept perturbations are those with
+    |e_T| <= xi |e|_F^2 for the schedule's certificate xi; every kept one
+    whose cost improves on the schedule by more than the quadrature
+    tolerance 1e-9 (1 + |J(q)|) is a violation.
 
     Each perturbation is evaluated exactly through ``_quadratic_form``.
     """
@@ -172,8 +171,7 @@ def audit_good_inequality(criterion: str, params: MarketParams,
     sines, bump_draws = _perturbation_matrix(perturbations, seed, scale)
     f_sq = lambda c: np.sum((c @ gram) * c, axis=1)  # |e|_F^2 per row
     coef = np.hstack([sines, np.zeros((perturbations, 1))])
-    if endpoint_bump:
-        coef[:, -1] = bump_draws * ((xi if math.isfinite(xi) else 1.0) * f_sq(coef))
+    coef[:, -1] = bump_draws * ((xi if math.isfinite(xi) else 1.0) * f_sq(coef))
 
     w_sq = f_sq(coef)
     member = np.abs(coef @ end) <= (np.inf if math.isinf(xi) else xi * w_sq)

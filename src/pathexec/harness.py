@@ -180,15 +180,18 @@ def _overflow_is_domain_error(params: MarketParams, expected: Optional[SampledPa
     they pass the largest double: stop with a DomainError naming c3*T instead
     of warning and going on with inf.  They also scale with the forecast, which
     a jump model can put far above the prices, so the error names the largest
-    |E[S_t]| of the ``expected`` path when there is one."""
+    |E[S_t]| of the ``expected`` path when there is one, and the rate's factor
+    1/(2 c1^2) when a small impact puts it above 1."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
         forecast = ("" if expected is None
                     else f", forecast max |E[S_t]| = {np.max(np.abs(expected.values)):.6g}")
+        factor = 0.5 / (params.impact * params.impact)
+        rate = f", 1/(2 c1^2) = {factor:.6g}" if factor > 1.0 else ""
         raise DomainError(f"cost overflows a double at urgency c3*T = "
-                          f"{params.risk_ratio * params.horizon:.6g}{forecast}") from exc
+                          f"{params.risk_ratio * params.horizon:.6g}{forecast}{rate}") from exc
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifact:
@@ -442,7 +445,9 @@ def emit_plotdata(artifact: RunArtifact, out: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _parse_kv(path: str) -> dict[str, str]:
+    """The ``key = value`` lines of a file; a key given twice raises."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -450,84 +455,95 @@ def _parse_kv(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ConfigError(f"{path}: key {key!r} is given on lines "
+                                  f"{first_line[key]} and {lineno}")
+            first_line[key], out[key] = lineno, val
     return out
 
 
-def _build_model(kv: dict[str, str]) -> pricemodels.PriceModel:
+def _finite(values: dict[str, float], key: str) -> float:
+    # a level hides in a callable and a mark size in the mark law: name the config key
+    if not math.isfinite(values[key]):
+        raise ConfigError(f"model.{key} must be finite, got {values[key]}")
+    return values[key]
+
+
+def _constant(level: float):
+    return lambda t: np.full_like(np.asarray(t, dtype=float), level)
+
+
+def _ou_jump(v: dict[str, float], params: MarketParams) -> pricemodels.OuJumpDiffusion:
+    level = _finite(v, "target_price" if "target_price" in v else "s0")
+    return pricemodels.OuJumpDiffusion(
+        m=_constant(math.log(level)), alpha=v["alpha"], sigma=v["sigma"], lam=v["lambda"],
+        mark_sampler=pricemodels.two_point_marks(_finite(v, "jump_size")))
+
+
+# The scenario schema.  model kind -> (model.<key> -> default, build(values,
+# params)); a key whose default is None reaches the build only when given.
+MODELS = {
+    "arithmetic-bm": ({"s0": 100.0, "sigma": 1.0},
+                      lambda v, p: pricemodels.ArithmeticBrownian(**v)),
+    "exponential-martingale": ({"s0": 100.0, "sigma": 0.2},
+                               lambda v, p: pricemodels.ExponentialMartingale(**v)),
+    "brownian-bridge": ({"s0": 100.0, "face_value": 100.0, "sigma": 1.0, "maturity": None},
+                        lambda v, p: pricemodels.BrownianBridge(**{"maturity": p.horizon, **v})),
+    "ou-jump-diffusion": ({"target_price": None, "s0": 100.0, "alpha": 5.0, "sigma": 0.02,
+                           "lambda": 0.0, "jump_size": 0.01}, _ou_jump),
+    "deterministic": ({"s0": 100.0},
+                      lambda v, p: pricemodels.DeterministicPrice(fn=_constant(_finite(v, "s0")))),
+}
+# params.<field of MarketParams> -> default
+PARAMS = {"impact": 1.0, "risk_aversion": 0.0, "initial_inventory": 1.0, "horizon": 1.0,
+          "target_inventory": 0.0, "terminal_penalty": 0.0}
+# key -> (ScenarioConfig field, parser); a key left out keeps the field's default
+SCENARIO_KEYS = {
+    "criterion": ("criterion", str),
+    "grid": ("grid_steps", int),
+    "paths": ("paths", int),
+    "seed": ("seed", int),
+    "strategies": ("strategy_tags",
+                   lambda text: tuple(s.strip() for s in text.split(",") if s.strip())),
+    "out": ("out_dir", str),
+    "dump_trajectories": ("dump_trajectories", lambda text: text.lower() in ("1", "true", "yes")),
+}
+
+
+def config_from_keys(kv: dict[str, str]) -> ScenarioConfig:
+    """The validated scenario of a ``key = value`` mapping.  Values are parsed
+    first; then a key outside the schema of the chosen model kind raises."""
     kind = kv.get("model", "arithmetic-bm")
-    get = lambda key, dflt=None: kv.get(f"model.{key}", dflt)
-
-    def finite(key: str, default: str = "100.0") -> float:
-        # a level hides in a callable and a mark size in the mark law: name the config key
-        value = float(get(key, default))
-        if not math.isfinite(value):
-            raise ConfigError(f"model.{key} must be finite, got {value}")
-        return value
-
+    if kind not in MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    model_defaults, build = MODELS[kind]
     try:
-        if kind == "arithmetic-bm":
-            return pricemodels.ArithmeticBrownian(
-                s0=float(get("s0", "100.0")), sigma=float(get("sigma", "1.0")))
-        if kind == "exponential-martingale":
-            return pricemodels.ExponentialMartingale(
-                s0=float(get("s0", "100.0")), sigma=float(get("sigma", "0.2")))
-        if kind == "brownian-bridge":
-            return pricemodels.BrownianBridge(
-                s0=float(get("s0", "100.0")),
-                face_value=float(get("face_value", "100.0")),
-                sigma=float(get("sigma", "1.0")),
-                maturity=float(get("maturity", kv.get("params.horizon", "1.0"))),
-            )
-        if kind == "ou-jump-diffusion":
-            log_level = math.log(finite("target_price" if "model.target_price" in kv else "s0"))
-            return pricemodels.OuJumpDiffusion(
-                m=lambda t, lv=log_level: np.full_like(np.asarray(t, dtype=float), lv),
-                alpha=float(get("alpha", "5.0")),
-                sigma=float(get("sigma", "0.02")),
-                lam=float(get("lambda", "0.0")),
-                mark_sampler=pricemodels.two_point_marks(finite("jump_size", "0.01")),
-            )
-        if kind == "deterministic":
-            return pricemodels.DeterministicPrice(
-                fn=lambda t, lv=finite("s0"): np.full_like(np.asarray(t, dtype=float), lv))
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(f"bad model parameters: {exc}") from exc
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def load_config(path: str) -> ScenarioConfig:
-    """Parse a flat ``key = value`` scenario file (schema in the README)."""
-    kv = _parse_kv(path)
-    try:
-        params = MarketParams(
-            impact=float(kv.get("params.impact", "1.0")),
-            risk_aversion=float(kv.get("params.risk_aversion", "0.0")),
-            initial_inventory=float(kv.get("params.initial_inventory", "1.0")),
-            horizon=float(kv.get("params.horizon", "1.0")),
-            target_inventory=float(kv.get("params.target_inventory", "0.0")),
-            terminal_penalty=float(kv.get("params.terminal_penalty", "0.0")),
-        )
-        strategy_tags = tuple(
-            s.strip() for s in kv.get("strategies", "good-quadratic-closed,static").split(",")
-            if s.strip()
-        )
-        config = ScenarioConfig(
-            model=_build_model(kv),
-            params=params,
-            criterion=kv.get("criterion", "quadratic"),
-            grid_steps=int(kv.get("grid", "512")),
-            paths=int(kv.get("paths", "1")),
-            seed=int(kv.get("seed", "0")),
-            strategy_tags=strategy_tags,
-            out_dir=kv.get("out", "."),
-            dump_trajectories=kv.get("dump_trajectories", "false").lower()
-            in ("1", "true", "yes"),
-        )
+        params = MarketParams(**{key: float(kv.get(f"params.{key}", default))
+                                 for key, default in PARAMS.items()})
+        fields = {name: parse(kv[key]) for key, (name, parse) in SCENARIO_KEYS.items()
+                  if key in kv}
     except ValueError as exc:
         raise ConfigError(f"bad scenario value: {exc}") from exc
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        model = build({key: float(kv.get(f"model.{key}", default))
+                       for key, default in model_defaults.items()
+                       if default is not None or f"model.{key}" in kv}, params)
+    except (ValueError, DomainError) as exc:
+        raise ConfigError(f"bad model parameters: {exc}") from exc
+    known = {"model", *SCENARIO_KEYS, *(f"params.{key}" for key in PARAMS),
+             *(f"model.{key}" for key in model_defaults)}
+    for key in kv:
+        if key not in known:
+            where = f" for model kind {kind!r}" if key.startswith("model.") else ""
+            raise ConfigError(f"unknown key {key!r}{where}")
+    config = ScenarioConfig(model=model, params=params, **fields)
     config.validate()
     return config
+
+
+def load_config(path: str) -> ScenarioConfig:
+    """Parse a flat ``key = value`` scenario file (schema in the README)."""
+    return config_from_keys(_parse_kv(path))

@@ -57,6 +57,37 @@ def test_montecarlo_aggregates_only(config_file, tmp_path):
     assert summary["trajectory_files"] == 0
 
 
+def test_options_set_the_scenario_keys_of_their_name(config_file, tmp_path):
+    # --paths 32 --seed 9 is the file with paths = 32 and seed = 9
+    assert main(["montecarlo", "--config", config_file, "--out", str(tmp_path / "flags"),
+                 "--paths", "32", "--seed", "9"]) == 0
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(CONFIG.replace("paths = 4", "paths = 32").replace("seed = 3", "seed = 9"))
+    assert main(["montecarlo", "--config", str(keyed), "--out", str(tmp_path / "keys")]) == 0
+    assert ((tmp_path / "flags" / "summary.json").read_bytes()
+            == (tmp_path / "keys" / "summary.json").read_bytes())
+
+
+@pytest.mark.parametrize("line, key", [
+    ("params.risk_aversoin = 1.15", "params.risk_aversoin"),
+    ("model.face_value = 100", "model.face_value"),  # a brownian-bridge key
+])
+def test_unknown_key_exit_code(tmp_path, capsys, line, key):
+    bad = tmp_path / "typo.cfg"
+    bad.write_text(CONFIG.replace("params.risk_aversion = 1.15", line))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_key_exit_code(tmp_path, capsys):
+    bad = tmp_path / "twice.cfg"
+    bad.write_text(CONFIG + "seed = 4\n")
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: key 'seed' is given on lines 12 and 14\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_prints_table(config_file, tmp_path, capsys):
     code = main(["compare", "--config", config_file, "--out", str(tmp_path / "cmp")])
     assert code == 0
@@ -129,6 +160,17 @@ def test_repeated_strategy_tag_exit_code(tmp_path, capsys):
     bad.write_text(CONFIG.replace("good-quadratic-closed, static, twap", "static, twap, static"))
     assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: strategy tag 'static' is listed twice\n"
+
+
+@pytest.mark.parametrize("impact, factor", [("1e-100", "5e+199"), ("1e-150", "5e+299")])
+def test_cost_overflow_at_tiny_impact_names_the_rate_factor(tmp_path, capsys, impact, factor):
+    # inside MarketParams' range, but S/(2 c1^2) passes the largest double when squared
+    bad = tmp_path / "impact.cfg"
+    bad.write_text(CONFIG.replace("params.impact = 1.35", f"params.impact = {impact}")
+                   .replace("params.risk_aversion = 1.15", "params.risk_aversion = 0"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(f", 1/(2 c1^2) = {factor}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -150,15 +150,6 @@ def test_audit_zero_violations(criterion, grid, brownian_path):
     assert report.tolerance == pytest.approx(1e-9 * (1.0 + abs(report.j_value)))
 
 
-def test_audit_compact_support_always_clean(grid, brownian_path):
-    e = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
-    plan = good_exec_quadratic_closed(PARAMS, brownian_path, e)
-    report = audit_good_inequality("quadratic", PARAMS, brownian_path, plan,
-                                   perturbations=300, seed=5, endpoint_bump=False)
-    assert report.kept == report.checked  # e_T = 0 is always a member
-    assert report.ok
-
-
 def test_audit_determinism(grid, brownian_path):
     e = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
     plan = good_exec_quadratic_closed(PARAMS, brownian_path, e)

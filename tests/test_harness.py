@@ -4,6 +4,7 @@ import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -488,6 +489,31 @@ def test_load_config_errors(tmp_path):
     cfg.write_text("no equals sign here\n")
     with pytest.raises(ConfigError):
         load_config(str(cfg))
+
+
+def test_readme_example_is_an_accepted_scenario(tmp_path):
+    # the documented keys are the accepted ones
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example)
+    config = load_config(str(cfg))
+    assert isinstance(config.model, BrownianBridge)
+    assert config.params.terminal_penalty == 0.0
+    assert (config.grid_steps, config.paths, config.seed) == (512, 100, 33)
+    assert config.out_dir == "./out" and config.dump_trajectories
+
+
+def test_left_out_keys_keep_the_defaults(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("# nothing set\n")
+    assert load_config(str(cfg)) == ScenarioConfig(
+        model=ArithmeticBrownian(s0=100.0, sigma=1.0),
+        params=MarketParams(impact=1.0, risk_aversion=0.0, initial_inventory=1.0, horizon=1.0))
+    # the bridge matures at the horizon unless model.maturity is given
+    cfg.write_text("model = brownian-bridge\nparams.horizon = 2\n")
+    assert load_config(str(cfg)).model == BrownianBridge(s0=100.0, face_value=100.0,
+                                                         sigma=1.0, maturity=2.0)
 
 
 @pytest.mark.parametrize("c3", [300.0, 528.0])
