@@ -36,8 +36,7 @@ __all__ = [
 def static_optimal(params: MarketParams, expected: SampledPath) -> ExecutionPlan:
     """Deterministic fuel-constrained optimum; q(T) = xT up to quadrature noise."""
     q, r = quadratic_trajectory(params, expected, expected)
-    plan = _plan(params, expected.grid, q, r, "static", float(expected.values[-1]))
-    return plan
+    return _plan(params, expected.grid, q, r, float(expected.values[-1]))
 
 
 def aposteriori_optimal(params: MarketParams, realized: SampledPath) -> ExecutionPlan:
@@ -48,7 +47,7 @@ def aposteriori_optimal(params: MarketParams, realized: SampledPath) -> Executio
     A ``(paths, N)`` block gives one plan per row, as the builders do.
     """
     q, r = quadratic_trajectory(params, realized, realized)
-    return _plan(params, realized.grid, q, r, "aposteriori", realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
 def _phi_scaled(params: MarketParams, u: np.ndarray) -> np.ndarray:
@@ -67,8 +66,7 @@ def _dphi_scaled(params: MarketParams, u: np.ndarray) -> np.ndarray:
     return c3 * np.sinh(c3 * u) + c6**2 * np.cosh(c3 * u)
 
 
-def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
-                             drift: SampledPath) -> ExecutionPlan:
+def terminal_penalty_optimal(params: MarketParams, drift: SampledPath) -> ExecutionPlan:
     """Expected-cost optimum with quadratic terminal penalty, deterministic drift.
 
     q_t = Phi(0,t) x0 + int_0^t Phi(s,t) v(s) ds,  Phi(s,t) = phi(T-t)/phi(T-s),
@@ -78,7 +76,7 @@ def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
     q_T = c3 x0 / (c3 cosh(c3 T) + c6^2 sinh(c3 T)): the penalty always
     leaves inventory on the table unless c5 -> infinity.
     """
-    t = _horizon_times(params, require_shared_grid(expected, drift))
+    t = _horizon_times(params, drift.grid)
     T = params.horizon
     c1 = params.impact
     x0 = params.initial_inventory
@@ -96,7 +94,7 @@ def terminal_penalty_optimal(params: MarketParams, expected: SampledPath,
     q = phi_rev * core
     r = -dphi_rev * core + v
 
-    return _plan(params, expected.grid, q, r, "terminal-penalty", None)
+    return _plan(params, drift.grid, q, r, None)
 
 
 def twap(params: MarketParams, grid: TimeGrid) -> ExecutionPlan:
@@ -106,7 +104,7 @@ def twap(params: MarketParams, grid: TimeGrid) -> ExecutionPlan:
     x0, x_t = params.initial_inventory, params.target_inventory
     q = x0 + (t / T) * (x_t - x0)
     r = np.full_like(t, (x_t - x0) / T)
-    return _plan(params, grid, q, r, "twap", None)
+    return _plan(params, grid, q, r, None)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +112,8 @@ def twap(params: MarketParams, grid: TimeGrid) -> ExecutionPlan:
 # ---------------------------------------------------------------------------
 
 def challenger_plans(params: MarketParams, realized: SampledPath,
-                     expected: SampledPath, feedback: float) -> list[ExecutionPlan]:
-    """Five adapted, fuel-constrained competitors of the static optimum.
+                     expected: SampledPath, feedback: float) -> dict[str, ExecutionPlan]:
+    """Five adapted, fuel-constrained competitors of the static optimum, by name.
 
     TWAP, a front-loaded and a back-loaded deterministic schedule, and two
     price-reactive schedules with linear feedback on S_t - E[S_t] re-pinned
@@ -128,22 +126,22 @@ def challenger_plans(params: MarketParams, realized: SampledPath,
     T = params.horizon
     x0, x_t = params.initial_inventory, params.target_inventory
     span = x0 - x_t
-    plans = [twap(params, grid)]
+    plans = {"twap": twap(params, grid)}
 
     frac = t / T
     q_front = x_t + span * (1.0 - frac) ** 2
     r_front = -2.0 * span / T * (1.0 - frac)
-    plans.append(_plan(params, grid, q_front, r_front, "front-loaded", None))
+    plans["front-loaded"] = _plan(params, grid, q_front, r_front, None)
 
     q_back = x_t + span * (1.0 - frac**2)
     r_back = -2.0 * span * frac / T
-    plans.append(_plan(params, grid, q_back, r_back, "back-loaded", None))
+    plans["back-loaded"] = _plan(params, grid, q_back, r_back, None)
 
     gap = realized.values - expected.values
     z = cumulative_trapezoid(gap, t)
-    for sign, tag in ((+1.0, "reactive-pos"), (-1.0, "reactive-neg")):
+    for sign, name in ((+1.0, "reactive-pos"), (-1.0, "reactive-neg")):
         g = sign * feedback
         q_react = x_t + span * (1.0 - frac) - g * (1.0 - frac) * z
         r_react = -span / T + g * z / T - g * (1.0 - frac) * gap
-        plans.append(_plan(params, grid, q_react, r_react, tag, None))
+        plans[name] = _plan(params, grid, q_react, r_react, None)
     return plans

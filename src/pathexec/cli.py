@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .calibration import calibrate_ou_jump, extract_target
 from .errors import PathexecError
-from .harness import (SCENARIO_KEYS, RunArtifact, ScenarioConfig, _overflow_is_domain_error,
-                      _parse_kv, config_from_keys, emit_plotdata, evaluate_block, ingest_csv,
-                      run_scenario, trajectory_bundles)
+from .harness import (SCENARIO_KEYS, RunArtifact, ScenarioConfig, _parse_kv, config_from_keys,
+                      emit_plotdata, evaluate_block, ingest_csv, run_scenario, trajectory_bundles)
 from .pathcalc import SampledPath, TimeGrid, resample
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 2, 3
@@ -24,14 +24,11 @@ BACKTEST_STRATEGIES = {"static": "static", "good": "good-quadratic-closed",
                        "aposteriori": "aposteriori", "twap": "twap"}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, keys: dict[str, str]) -> None:
     p.add_argument("--config", required=True, help="scenario config file")
     # each option below sets the scenario key of its name, over the file's value
-    for key, blurb in (("seed", "root seed"), ("paths", "path count"), ("grid", "grid steps"),
-                       ("out", "output directory")):
+    for key, blurb in {**keys, "grid": "grid steps", "out": "output directory"}.items():
         p.add_argument(f"--{key}", help=f"set the key {key}: {blurb}")
-    p.add_argument("--dump-trajectories", action="store_const", const="true",
-                   help="set the key dump_trajectories: write per-path trajectory CSVs")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         ("montecarlo", "run a scenario for aggregates only"),
                         ("compare", "print a strategy comparison table")):
         p = sub.add_parser(verb, help=blurb)
-        _add_common(p)
+        _add_common(p, {"seed": "root seed", "paths": "path count"})
+        p.add_argument("--dump-trajectories", action="store_const", const="true",
+                       help="set the key dump_trajectories: write per-path trajectory CSVs")
         p.set_defaults(command=_cmd_scenario)
         if verb == "simulate":
             p.set_defaults(dump_trajectories="true")
@@ -54,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="time-price")
     p.add_argument("--window", type=float, default=None,
                    help="moving-average window for the price forecast")
-    _add_common(p)
+    _add_common(p, {})
     p.set_defaults(command=_cmd_backtest)
 
     p = sub.add_parser("calibrate", help="fit the jump-diffusion model to a csv")
@@ -77,7 +76,7 @@ def _scenario(args) -> ScenarioConfig:
 
 
 def _print_stats(artifact) -> None:
-    print(f"paths={artifact.path_count} criterion={artifact.config.criterion} "
+    print(f"paths={artifact.config.paths} criterion={artifact.config.criterion} "
           f"seed={artifact.config.seed}")
     header = f"{'strategy':<24} {'mean cost':>16} {'stderr':>12} {'mean q_T err':>14} {'stderr':>12}"
     print(header)
@@ -114,15 +113,14 @@ def _cmd_backtest(args) -> int:
     target = resample(extract_target(series, window), TimeGrid(grid.times / scale), "linear")
     expected = SampledPath(grid, np.exp(target.values))
 
-    with _overflow_is_domain_error(config.params):
-        plans, rows = evaluate_block(config.criterion, config.params, realized, expected,
-                                     BACKTEST_STRATEGIES.values())
+    plans, rows = evaluate_block(config.criterion, config.params, realized, expected,
+                                 BACKTEST_STRATEGIES.values())
     print(f"backtest of {args.csv}: {series.prices.size} rows, horizon "
           f"{config.params.horizon}")
     for label, tag in BACKTEST_STRATEGIES.items():
         print(f"{label:<14} cost={rows[tag][0]:.6g} terminal={plans[tag].terminal:.6g}")
     bundles = trajectory_bundles(realized, expected, plans, BACKTEST_STRATEGIES["good"])
-    files = emit_plotdata(RunArtifact(config, [], 1, bundles), config.out_dir)
+    files = emit_plotdata(RunArtifact(replace(config, paths=1), [], bundles), config.out_dir)
     print(f"wrote {len(files)} files to {config.out_dir}")
     return EXIT_OK
 

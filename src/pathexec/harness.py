@@ -49,26 +49,32 @@ __all__ = [
 BLOCK_ELEMENTS = 2**17
 
 
-# tag -> build(params, realized, expected, airy).  Functions are looked up on
-# their modules at call time, so one wrapped in place sees every call.
+def _airy_for(params: MarketParams) -> AiryPair:
+    """The time criterion's Airy pair on [0, c3^(2/3) T]."""
+    return airy_pair(max(params.risk_ratio ** (2.0 / 3.0) * params.horizon, 1e-6))
+
+
+# tag -> build(params, realized, expected).  Functions are looked up on their
+# modules at call time, so one wrapped in place sees every call.
 STRATEGIES = {
-    "good-quadratic-closed": lambda p, s, e, a: strategies.good_exec_quadratic_closed(p, s, e),
-    "good-quadratic-ivp": lambda p, s, e, a: strategies.good_exec_quadratic_ivp(p, s, e),
-    "good-time-closed": lambda p, s, e, a: strategies.good_exec_time_closed(p, s, e, a),
-    "good-time-ivp": lambda p, s, e, a: strategies.good_exec_time_ivp(p, s, e, a),
-    "good-var-closed": lambda p, s, e, a: strategies.good_exec_var_closed(p, s, e),
-    "good-var-ivp": lambda p, s, e, a: strategies.good_exec_var_ivp(p, s, e),
-    "static": lambda p, s, e, a: baselines.static_optimal(p, e),
-    "aposteriori": lambda p, s, e, a: baselines.aposteriori_optimal(p, s),
-    "terminal-penalty": lambda p, s, e, a: baselines.terminal_penalty_optimal(p, e, e),
-    "twap": lambda p, s, e, a: baselines.twap(p, e.grid),
+    "good-quadratic-closed": lambda p, s, e: strategies.good_exec_quadratic_closed(p, s, e),
+    "good-quadratic-ivp": lambda p, s, e: strategies.good_exec_quadratic_ivp(p, s, e),
+    "good-time-closed": lambda p, s, e: strategies.good_exec_time_closed(p, s, e, _airy_for(p)),
+    "good-time-ivp": lambda p, s, e: strategies.good_exec_time_ivp(p, s, e, _airy_for(p)),
+    "good-var-closed": lambda p, s, e: strategies.good_exec_var_closed(p, s, e),
+    "good-var-ivp": lambda p, s, e: strategies.good_exec_var_ivp(p, s, e),
+    "static": lambda p, s, e: baselines.static_optimal(p, e),
+    "aposteriori": lambda p, s, e: baselines.aposteriori_optimal(p, s),
+    "terminal-penalty": lambda p, s, e: baselines.terminal_penalty_optimal(p, e),
+    "twap": lambda p, s, e: baselines.twap(p, e.grid),
 }
 ALL_STRATEGIES = tuple(STRATEGIES)
 GOOD_STRATEGIES = tuple(tag for tag in STRATEGIES if tag.startswith("good-"))
 
-@dataclass
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment, validated at construction."""
 
     model: pricemodels.PriceModel
     params: MarketParams
@@ -80,7 +86,7 @@ class ScenarioConfig:
     out_dir: str = "."
     dump_trajectories: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.paths < 1:
             raise ConfigError("path count must be >= 1")
         if self.grid_steps < 2:
@@ -130,7 +136,6 @@ class RunArtifact:
 
     config: ScenarioConfig
     stats: list[StrategyStats]
-    path_count: int
     trajectories: list[TrajectoryBundle] = field(default_factory=list)
 
     def stats_for(self, tag: str) -> StrategyStats:
@@ -141,23 +146,25 @@ class RunArtifact:
 
 
 def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
-                   expected: SampledPath, tags, airy: Optional[AiryPair] = None, keep=None):
+                   expected: SampledPath, tags, keep=None):
     """Build, score and drop each tagged plan in turn on a block of realized paths.
 
     ``realized`` holds one path per row; a 1-D path is the one-path block.
     A plan that reads only the forecast is 1-D and broadcasts over the rows.
     Returns (tag -> plan, for the tags in ``keep`` or all tags when it is None;
     tag -> (per-path cost, terminal error, xi)), with xi NaN off the good tags.
+    A double overflow is a DomainError (``_overflow_is_domain_error``).
     """
     plans, rows = {}, {}
-    for tag in tags:
-        plan = STRATEGIES[tag](params, realized, expected, airy)
-        rows[tag] = (costs.cost_J(criterion, params, realized, plan),
-                     plan.terminal - params.target_inventory,
-                     plan.xi if tag in GOOD_STRATEGIES else np.nan)
-        if keep is None or tag in keep:
-            plans[tag] = plan
-        del plan  # not alive while the next tag builds
+    with _overflow_is_domain_error(params, expected):
+        for tag in tags:
+            plan = STRATEGIES[tag](params, realized, expected)
+            rows[tag] = (costs.cost_J(criterion, params, realized, plan),
+                         plan.terminal - params.target_inventory,
+                         plan.xi if tag in GOOD_STRATEGIES else np.nan)
+            if keep is None or tag in keep:
+                plans[tag] = plan
+            del plan  # not alive while the next tag builds
     return plans, rows
 
 
@@ -175,23 +182,23 @@ def trajectory_bundles(realized: SampledPath, expected: SampledPath,
 
 
 @contextlib.contextmanager
-def _overflow_is_domain_error(params: MarketParams, expected: Optional[SampledPath] = None):
+def _overflow_is_domain_error(params: MarketParams, expected: SampledPath):
     """Plans, costs and their aggregates grow like e^(c3 t), so at high urgency
     they pass the largest double: stop with a DomainError naming c3*T instead
     of warning and going on with inf.  They also scale with the forecast, which
     a jump model can put far above the prices, so the error names the largest
-    |E[S_t]| of the ``expected`` path when there is one, and the rate's factor
-    1/(2 c1^2) when a small impact puts it above 1."""
+    |E[S_t]| of the ``expected`` path, and the rate's factor 1/(2 c1^2) when a
+    small impact puts it above 1."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
-        forecast = ("" if expected is None
-                    else f", forecast max |E[S_t]| = {np.max(np.abs(expected.values)):.6g}")
+        forecast = np.max(np.abs(expected.values))
         factor = 0.5 / (params.impact * params.impact)
         rate = f", 1/(2 c1^2) = {factor:.6g}" if factor > 1.0 else ""
         raise DomainError(f"cost overflows a double at urgency c3*T = "
-                          f"{params.risk_ratio * params.horizon:.6g}{forecast}{rate}") from exc
+                          f"{params.risk_ratio * params.horizon:.6g}, "
+                          f"forecast max |E[S_t]| = {forecast:.6g}{rate}") from exc
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifact:
@@ -202,18 +209,12 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
     time.  Only per-path scalars and the dumped panels' plans outlive their
     tag, and the block is released before the next one is sampled.
     """
-    config.validate()
     grid = config.grid()
     params = config.params
     expected = pricemodels.expected_path(config.model, grid)
     dump_tag = f"good-{config.criterion}-closed"
     panel_tags = (dump_tag, "static", "aposteriori") if config.dump_trajectories else ()
     tags = tuple(dict.fromkeys(config.strategy_tags + panel_tags))
-
-    airy = None
-    if any(tag.startswith("good-time") for tag in tags):
-        x_max = max(params.risk_ratio ** (2.0 / 3.0) * params.horizon, 1e-6)
-        airy = airy_pair(x_max, tol=1e-9)
 
     seeds = np.random.SeedSequence(config.seed).generate_state(config.paths, np.uint64)
     block = max(1, BLOCK_ELEMENTS // grid.times.size)
@@ -222,9 +223,8 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
     bundles: list[TrajectoryBundle] = []
     for lo in range(0, config.paths, block):
         realized = pricemodels.sample_path(config.model, grid, seeds[lo:lo + block])
-        with _overflow_is_domain_error(params, expected):
-            plans, block_rows = evaluate_block(config.criterion, params, realized, expected,
-                                               tags, airy, keep=panel_tags)
+        plans, block_rows = evaluate_block(config.criterion, params, realized, expected, tags,
+                                           keep=panel_tags)
         for tag, tag_rows in rows.items():
             tag_rows.append(np.broadcast_arrays(*block_rows[tag]))
         if config.dump_trajectories:
@@ -248,8 +248,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifact:
                 terminal_stderr=float(e.std(ddof=1) / spread) if n > 1 else 0.0,
                 xi_quantiles=xi_q,
             ))
-    return RunArtifact(config=config, stats=stats, path_count=config.paths,
-                       trajectories=bundles)
+    return RunArtifact(config=config, stats=stats, trajectories=bundles)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,7 @@ def emit_plotdata(artifact: RunArtifact, out: str) -> list[str]:
 
     summary = {
         "criterion": artifact.config.criterion,
-        "paths": artifact.path_count,
+        "paths": artifact.config.paths,
         "seed": artifact.config.seed,
         "grid_steps": artifact.config.grid_steps,
         "trajectory_files": len(artifact.trajectories),
@@ -539,9 +538,7 @@ def config_from_keys(kv: dict[str, str]) -> ScenarioConfig:
         if key not in known:
             where = f" for model kind {kind!r}" if key.startswith("model.") else ""
             raise ConfigError(f"unknown key {key!r}{where}")
-    config = ScenarioConfig(model=model, params=params, **fields)
-    config.validate()
-    return config
+    return ScenarioConfig(model=model, params=params, **fields)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -157,10 +157,7 @@ class OuJumpDiffusion:
         t = grid.times
         dt = np.diff(t)
         decay = np.exp(-self.alpha * dt)
-        if self.sigma > 0:
-            std = self.sigma * np.sqrt((1.0 - decay**2) / (2.0 * self.alpha))
-        else:
-            std = np.zeros_like(dt)
+        std = self.sigma * np.sqrt((1.0 - decay**2) / (2.0 * self.alpha))
         shocks = np.empty((len(seeds), dt.size))
         # per path with jumps: its row's offset in the flattened block, its
         # sorted event times and its marks

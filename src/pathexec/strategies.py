@@ -121,7 +121,6 @@ class ExecutionPlan:
 
     q: SampledPath
     r: SampledPath
-    strategy_tag: str
     xi: Optional[float] = None
 
     def __post_init__(self):
@@ -181,14 +180,13 @@ def _horizon_times(params: MarketParams, grid: TimeGrid) -> np.ndarray:
 
 
 def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
-          strategy_tag: str, s_terminal) -> ExecutionPlan:
+          s_terminal) -> ExecutionPlan:
     """A plan starting at x0; ``s_terminal=None`` builds it without an xi."""
     q = np.array(q, dtype=float)
     q[..., 0] = params.initial_inventory
     return ExecutionPlan(
         q=SampledPath(grid, q),
         r=SampledPath(grid, np.asarray(r, dtype=float)),
-        strategy_tag=strategy_tag,
         xi=None if s_terminal is None else _xi_from_terminal(params.impact, r[..., -1], s_terminal),
     )
 
@@ -238,7 +236,7 @@ def good_exec_quadratic_closed(params: MarketParams, realized: SampledPath,
                                expected: SampledPath) -> ExecutionPlan:
     """Closed-form quadratic-criterion schedule reacting to the realized path."""
     q, r = quadratic_trajectory(params, realized, expected)
-    return _plan(params, realized.grid, q, r, "good-quadratic-closed", realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
 def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
@@ -293,7 +291,7 @@ def _euler_plan(params: MarketParams, realized: SampledPath, expected: SampledPa
     r0 = trajectory(params, expected, expected)[1][..., 0] - s0_gap / (2.0 * params.impact**2)
     q, r = _euler_ivp(t, realized.values, r0, params.initial_inventory, params.impact,
                       *CRITERIA[criterion](params.risk_ratio**2, t))
-    return _plan(params, realized.grid, q, r, f"good-{criterion}-ivp", realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
 def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
@@ -360,7 +358,7 @@ def good_exec_time_closed(params: MarketParams, realized: SampledPath,
                           expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
     """Closed-form schedule for the time-weighted criterion."""
     q, r = time_trajectory(params, realized, expected, airy)
-    return _plan(params, realized.grid, q, r, "good-time-closed", realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
 def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
@@ -399,7 +397,7 @@ def good_exec_var_closed(params: MarketParams, realized: SampledPath,
                          expected: SampledPath) -> ExecutionPlan:
     """Closed-form schedule under the value-at-risk style criterion."""
     q, r = var_trajectory(params, realized, expected)
-    return _plan(params, realized.grid, q, r, "good-var-closed", realized.values[..., -1])
+    return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
 def good_exec_var_ivp(params: MarketParams, realized: SampledPath,

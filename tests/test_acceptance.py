@@ -201,14 +201,14 @@ def test_criterion_6_terminal_penalty_baseline(grid):
     x0 = FIG2.initial_inventory
     p_pen = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=x0,
                          horizon=1.0, terminal_penalty=0.7 * 1.35)
-    plan = terminal_penalty_optimal(p_pen, expected, drift)
+    plan = terminal_penalty_optimal(p_pen, drift)
     c3, c6 = p_pen.risk_ratio, p_pen.penalty_ratio
     q_t_formula = c3 * x0 / (c3 * math.cosh(c3) + c6**2 * math.sinh(c3))
     gap_terminal = abs(plan.terminal - q_t_formula)
 
     p_big = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=x0,
                          horizon=1.0, terminal_penalty=1e6 * 1.35)
-    plan_big = terminal_penalty_optimal(p_big, expected, drift)
+    plan_big = terminal_penalty_optimal(p_big, drift)
     sinh_profile = x0 * np.sinh(c3 * (1.0 - grid.times)) / math.sinh(c3)
     gap_limit = np.max(np.abs(plan_big.q.values - sinh_profile))
 
@@ -228,8 +228,8 @@ def test_criterion_7_reduction_to_static():
     seeds = np.random.SeedSequence(7_77).generate_state(10_000, np.uint64)
     realized = sample_path(model, grid, seeds)
     j_static = cost_J("quadratic", params, realized, static)
-    excess = {ch.strategy_tag: cost_J("quadratic", params, realized, ch) - j_static
-              for ch in challenger_plans(params, realized, expected, feedback=5.0)}
+    excess = {name: cost_J("quadratic", params, realized, ch) - j_static
+              for name, ch in challenger_plans(params, realized, expected, feedback=5.0).items()}
     ok = True
     for tag, d in excess.items():
         se = d.std(ddof=1) / math.sqrt(d.size)

@@ -82,7 +82,7 @@ def test_aposteriori_beats_pinned_competitors_pathwise(grid):
         rate = SampledPath(grid, ap.r.values + c @ dbasis)
         from pathexec.strategies import ExecutionPlan
 
-        eta = ExecutionPlan(q=pert, r=rate, strategy_tag="pert")
+        eta = ExecutionPlan(q=pert, r=rate)
         assert cost_J("quadratic", PARAMS, real, eta) >= j_ap - 1e-9 * (1.0 + abs(j_ap))
 
 
@@ -117,20 +117,20 @@ def test_terminal_penalty_zero_drift(grid):
     drift = SampledPath.constant(grid, 0.0)
     p = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0,
                      horizon=1.0, terminal_penalty=0.5 * 1.35)
-    plan = terminal_penalty_optimal(p, e, drift)
+    plan = terminal_penalty_optimal(p, drift)
     c3, c6 = p.risk_ratio, p.penalty_ratio
     q_t = c3 * 10_000.0 / (c3 * math.cosh(c3) + c6**2 * math.sinh(c3))
     assert plan.terminal == pytest.approx(q_t, abs=1e-10 * 10_000.0)
     # c6 = 0: pure cosh relaxation
     p0 = MarketParams(impact=1.35, risk_aversion=1.15,
                       initial_inventory=10_000.0, horizon=1.0)
-    pl0 = terminal_penalty_optimal(p0, e, drift)
+    pl0 = terminal_penalty_optimal(p0, drift)
     cosh_profile = 10_000.0 * np.cosh(c3 * (1.0 - grid.times)) / math.cosh(c3)
     assert np.allclose(pl0.q.values, cosh_profile, atol=1e-9 * 10_000.0)
     # c6 -> large: approaches the fuel-constrained sinh profile
     pb = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0,
                       horizon=1.0, terminal_penalty=1e6 * 1.35)
-    plb = terminal_penalty_optimal(pb, e, drift)
+    plb = terminal_penalty_optimal(pb, drift)
     sinh_profile = 10_000.0 * np.sinh(c3 * (1.0 - grid.times)) / math.sinh(c3)
     assert np.max(np.abs(plb.q.values - sinh_profile)) <= 1e-4 * 10_000.0
 
@@ -142,7 +142,7 @@ def test_terminal_penalty_with_drift_consistency(grid):
     drift = SampledPath(grid, 5.0 * grid.times)
     p = MarketParams(impact=1.35, risk_aversion=1.15, initial_inventory=10_000.0,
                      horizon=1.0, terminal_penalty=1.35)
-    plan = terminal_penalty_optimal(p, e, drift)
+    plan = terminal_penalty_optimal(p, drift)
     assert plan.q.values[0] == 10_000.0
     fd = np.gradient(plan.q.values, grid.times)
     assert np.max(np.abs(fd[1:-1] - plan.r.values[1:-1])) <= 2e-2 * np.max(np.abs(plan.r.values))
@@ -158,8 +158,8 @@ def test_reduction_to_static_small_monte_carlo():
     seeds = np.random.SeedSequence(21).generate_state(2000, np.uint64)
     real = sample_path(model, g, seeds)
     j_st = cost_J("quadratic", params, real, st)
-    excess = {ch.strategy_tag: cost_J("quadratic", params, real, ch) - j_st
-              for ch in challenger_plans(params, real, e, feedback=5.0)}
+    excess = {name: cost_J("quadratic", params, real, ch) - j_st
+              for name, ch in challenger_plans(params, real, e, feedback=5.0).items()}
     assert set(excess) == {"twap", "front-loaded", "back-loaded",
                            "reactive-pos", "reactive-neg"}
     for tag, d in excess.items():
@@ -169,7 +169,7 @@ def test_reduction_to_static_small_monte_carlo():
 
 def test_challengers_are_fuel_constrained_and_adapted(grid, brownian_path):
     e = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
-    for ch in challenger_plans(PARAMS, brownian_path, e, feedback=5.0):
+    for ch in challenger_plans(PARAMS, brownian_path, e, feedback=5.0).values():
         assert ch.q.values[0] == 10_000.0
         assert abs(ch.terminal) <= 1e-9 * 10_000.0
         assert ch.max_rate_consistency_gap() <= 1e-6 * 10_000.0

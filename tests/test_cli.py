@@ -233,7 +233,22 @@ def test_backtest_overflow_at_high_urgency_exit_code(tmp_path, capsys):
                    .replace("params.risk_aversion = 1.15", "params.risk_aversion = 1000"))
     csv = _history_csv(tmp_path / "hist.csv")
     assert main(["backtest", csv, "--config", str(bad), "--out", str(tmp_path / "bt")]) == 2
-    assert capsys.readouterr().err == "error: cost overflows a double at urgency c3*T = 740.741\n"
+    assert capsys.readouterr().err == ("error: cost overflows a double at urgency c3*T = 740.741, "
+                                       "forecast max |E[S_t]| = 100.154\n")
+
+
+@pytest.mark.parametrize("option", [["--paths", "7"], ["--seed", "5"], ["--dump-trajectories"]],
+                         ids=["paths", "seed", "dump-trajectories"])
+def test_backtest_refuses_the_monte_carlo_options(config_file, tmp_path, capsys, option):
+    # backtest replays its four schedules on the one history: it reads no path
+    # count, seed or dump switch, so their options are usage errors
+    csv = _history_csv(tmp_path / "hist.csv")
+    out = tmp_path / "bt"
+    with pytest.raises(SystemExit) as stop:
+        main(["backtest", csv, "--config", config_file, "--out", str(out), *option])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["time-price", "lobster-mid"])

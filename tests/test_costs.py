@@ -50,7 +50,7 @@ def pathwise_f_weight(criterion, params, eta, rate=None):
 
 def test_cost_zero_plan_is_free(grid, brownian_path):
     zero = SampledPath.constant(grid, 0.0)
-    plan = ExecutionPlan(q=zero, r=zero, strategy_tag="null")
+    plan = ExecutionPlan(q=zero, r=zero)
     for crit in ("quadratic", "time", "var"):
         assert cost_J(crit, PARAMS, brownian_path, plan) == 0.0
 
@@ -127,7 +127,7 @@ def test_cost_decomposition_reconciles_with_f_weight(grid):
     zero_price = SampledPath.constant(grid, 0.0)
     q = SampledPath.from_function(grid, lambda t: 1_000.0 * (1.0 - t) ** 2)
     r = SampledPath.from_function(grid, lambda t: -2_000.0 * (1.0 - t))
-    plan = ExecutionPlan(q=q, r=r, strategy_tag="x")
+    plan = ExecutionPlan(q=q, r=r)
     j = cost_J("quadratic", PARAMS, zero_price, plan)
     w = pathwise_f_weight("quadratic", PARAMS, q, rate=r.values)
     assert j == pytest.approx(w**2, rel=1e-10)
@@ -187,8 +187,7 @@ def _dense_basis(t, horizon):
 
 def _perturbed(plan, e, de):
     return ExecutionPlan(q=SampledPath(plan.grid, plan.q.values + e),
-                         r=SampledPath(plan.grid, plan.r.values + de),
-                         strategy_tag="pert")
+                         r=SampledPath(plan.grid, plan.r.values + de))
 
 
 def _dense_audit(criterion, params, realized, plan, perturbations, seed):

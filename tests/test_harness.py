@@ -3,7 +3,7 @@ import os
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, TimeGrid, cli,
-                      costs, harness, pricemodels, static_optimal, strategies)
+from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, TimeGrid, airy_pair,
+                      cli, costs, good_exec_time_closed, good_exec_time_ivp, harness,
+                      pricemodels, static_optimal, strategies)
 from pathexec.harness import (
     TRAJECTORY_COLUMNS,
     ScenarioConfig,
@@ -100,8 +101,7 @@ def test_run_scenario_samples_each_block_in_one_call(monkeypatch):
                         or real(model, grid, seeds))
     config = basic_config(strategy_tags=("twap",))
     block = harness.BLOCK_ELEMENTS // config.grid().times.size
-    config.paths = 2 * block + 3
-    run_scenario(config)
+    run_scenario(replace(config, paths=2 * block + 3))
     assert blocks == [block, block, 3]
 
 
@@ -172,12 +172,31 @@ def test_exponential_martingale_unbiased_inside_harness():
 
 
 def test_validation_errors():
+    # a config is validated once, when it is built, and cannot change after
+    with pytest.raises(ConfigError, match="^path count must be >= 1$"):
+        basic_config(paths=0)
     with pytest.raises(ConfigError):
-        run_scenario(basic_config(paths=0))
+        basic_config(criterion="bogus")
     with pytest.raises(ConfigError):
-        run_scenario(basic_config(criterion="bogus"))
-    with pytest.raises(ConfigError):
-        run_scenario(basic_config(strategy_tags=("momentum",)))
+        basic_config(strategy_tags=("momentum",))
+    with pytest.raises(FrozenInstanceError):
+        basic_config().paths = 0
+
+
+def test_time_tags_build_their_own_airy_pair():
+    # every tag builds from (params, realized, expected) alone
+    config = basic_config(criterion="time")
+    grid, params = config.grid(), config.params
+    realized = pricemodels.sample_path(config.model, grid, np.arange(3, dtype=np.uint64))
+    expected = pricemodels.expected_path(config.model, grid)
+    tags = ("good-time-closed", "good-time-ivp")
+    plans, _ = harness.evaluate_block("time", params, realized, expected, tags)
+    airy = airy_pair(params.risk_ratio ** (2.0 / 3.0) * params.horizon)
+    for tag, build in zip(tags, (good_exec_time_closed, good_exec_time_ivp)):
+        plan = build(params, realized, expected, airy)
+        assert plans[tag].q.values.tobytes() == plan.q.values.tobytes()
+        assert plans[tag].r.values.tobytes() == plan.r.values.tobytes()
+        assert plans[tag].xi.tobytes() == plan.xi.tobytes()
 
 
 def test_terminal_penalty_tag_drifts_with_the_forecast():
@@ -188,7 +207,7 @@ def test_terminal_penalty_tag_drifts_with_the_forecast():
     grid = TimeGrid.uniform(1.0, 512)
     model = BrownianBridge(s0=100.0, face_value=200.0, sigma=1.0, maturity=1.0)
     e = pricemodels.expected_path(model, grid)
-    plan = harness.STRATEGIES["terminal-penalty"](params, e, e, None)
+    plan = harness.STRATEGIES["terminal-penalty"](params, e, e)
     static = static_optimal(params, e)
     assert np.max(np.abs(plan.q.values - static.q.values)) <= 1e-4 * params.initial_inventory
 
@@ -451,7 +470,7 @@ dump_trajectories = true
     assert config.strategy_tags == ("good-quadratic-closed", "static", "aposteriori")
     assert config.dump_trajectories
     artifact = run_scenario(config)
-    assert artifact.path_count == 10
+    assert artifact.config.paths == 10
     assert len(artifact.trajectories) == 10
 
 
@@ -475,7 +494,7 @@ def test_load_config_ou_jump_model(tmp_path):
     assert isinstance(config.model, OuJumpDiffusion)
     assert np.exp(config.model.m(np.zeros(1))[0]) == pytest.approx(120.0)
     artifact = run_scenario(config)
-    assert artifact.path_count == 2
+    assert artifact.config.paths == 2
 
 
 def test_load_config_errors(tmp_path):

@@ -142,8 +142,7 @@ def test_every_grid_check_raises_grid_mismatch():
     other = SampledPath.constant(TimeGrid.uniform(1.0, 7), 100.0)
     plan = good_exec_quadratic_closed(FIG2, expected, expected)
     calls = [
-        lambda: ExecutionPlan(q=plan.q, r=other, strategy_tag="x"),
-        lambda: terminal_penalty_optimal(FIG2, expected, other),
+        lambda: ExecutionPlan(q=plan.q, r=other),
         lambda: challenger_plans(FIG2, expected, other, 1.0),
         lambda: cost_J("quadratic", FIG2, other, plan),
         lambda: audit_good_inequality("quadratic", FIG2, other, plan, perturbations=4, seed=1),
@@ -164,7 +163,7 @@ def test_every_builder_rejects_a_grid_off_the_market_horizon():
     calls = [
         lambda: static_optimal(FIG2, path),
         lambda: aposteriori_optimal(FIG2, path),
-        lambda: terminal_penalty_optimal(FIG2, path, path),
+        lambda: terminal_penalty_optimal(FIG2, path),
         lambda: twap(FIG2, grid),
         lambda: challenger_plans(FIG2, path, path, 1.0),
     ]

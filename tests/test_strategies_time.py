@@ -93,7 +93,6 @@ def test_degenerate_aversion_delegates_to_quadratic(grid, brownian_path, airy):
     t_plan = good_exec_time_closed(p0, brownian_path, e, airy)
     q_plan = good_exec_quadratic_closed(p0, brownian_path, e)
     assert np.array_equal(t_plan.q.values, q_plan.q.values)
-    assert t_plan.strategy_tag == "good-time-closed"
 
 
 def test_adaptedness(airy, grid, brownian_path):
