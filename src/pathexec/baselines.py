@@ -1,19 +1,21 @@
 """Classical comparison schedules.
 
-* ``static_optimal``            -- deterministic fuel-constrained optimum,
-                                   driven entirely by the forecast;
-* ``aposteriori_optimal``       -- the pathwise fuel-constrained optimum
-                                   computed with the full realized path
-                                   (anticipative; benchmark only);
+* ``static_optimal``            -- deterministic fuel-constrained optimum of a
+                                   criterion, driven entirely by the forecast;
+* ``aposteriori_optimal``       -- the pathwise fuel-constrained optimum of a
+                                   criterion, computed with the full realized
+                                   path (anticipative; benchmark only);
 * ``terminal_penalty_optimal``  -- the classical expected-cost optimum with a
                                    quadratic penalty on outstanding terminal
                                    inventory, restricted to deterministic
                                    price drift;
 * ``twap``                      -- the straight line.
 
-The static and a-posteriori schedules are the two degenerations of the
-adaptive quadratic schedule: feed it the forecast as if realized, or rebuild
-its terminal constant from the realized path.
+The static and a-posteriori schedules are the two degenerations of a
+criterion's adaptive closed form ``closed(params, realized, expected)``, such
+as ``strategies.good_exec_quadratic_closed``: feed it the forecast as if
+realized, or rebuild its terminal constant from the realized path.  The
+terminal-penalty schedule is the quadratic criterion's, whatever is scored.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .pathcalc import (SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young,
                        require_shared_grid)
-from .strategies import ExecutionPlan, MarketParams, _horizon_times, _plan, quadratic_trajectory
+from .strategies import ExecutionPlan, MarketParams, _horizon_times, _plan
 
 __all__ = [
     "static_optimal",
@@ -33,21 +35,21 @@ __all__ = [
 ]
 
 
-def static_optimal(params: MarketParams, expected: SampledPath) -> ExecutionPlan:
-    """Deterministic fuel-constrained optimum; q(T) = xT up to quadrature noise."""
-    q, r = quadratic_trajectory(params, expected, expected)
-    return _plan(params, expected.grid, q, r, float(expected.values[-1]))
+def static_optimal(params: MarketParams, expected: SampledPath, closed) -> ExecutionPlan:
+    """Deterministic fuel-constrained optimum: ``closed`` fed the forecast as
+    its realized path; q(T) = xT up to quadrature noise."""
+    return closed(params, expected, expected)
 
 
-def aposteriori_optimal(params: MarketParams, realized: SampledPath) -> ExecutionPlan:
-    """Pathwise fuel-constrained optimum with the realized path everywhere.
+def aposteriori_optimal(params: MarketParams, realized: SampledPath, closed) -> ExecutionPlan:
+    """Pathwise fuel-constrained optimum: ``closed`` fed the realized path as
+    its own forecast.
 
     Anticipative: the terminal constant is rebuilt from the whole realized
     trajectory, so this is a benchmark, never an implementable schedule.
     A ``(paths, N)`` block gives one plan per row, as the builders do.
     """
-    q, r = quadratic_trajectory(params, realized, realized)
-    return _plan(params, realized.grid, q, r, realized.values[..., -1])
+    return closed(params, realized, realized)
 
 
 def _phi_scaled(params: MarketParams, u: np.ndarray) -> np.ndarray:

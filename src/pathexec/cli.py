@@ -19,9 +19,6 @@ from .harness import (SCENARIO_KEYS, RunArtifact, ScenarioConfig, _parse_kv, con
 from .pathcalc import SampledPath, TimeGrid, resample
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 2, 3
-# printed label -> replayed strategy; "good" is quadratic whatever the criterion
-BACKTEST_STRATEGIES = {"static": "static", "good": "good-quadratic-closed",
-                       "aposteriori": "aposteriori", "twap": "twap"}
 
 
 def _add_common(p: argparse.ArgumentParser, keys: dict[str, str]) -> None:
@@ -113,13 +110,16 @@ def _cmd_backtest(args) -> int:
     target = resample(extract_target(series, window), TimeGrid(grid.times / scale), "linear")
     expected = SampledPath(grid, np.exp(target.values))
 
+    # printed label -> replayed strategy, all of the scenario's criterion
+    tags = {"static": "static", "good": f"good-{config.criterion}-closed",
+            "aposteriori": "aposteriori", "twap": "twap"}
     plans, rows = evaluate_block(config.criterion, config.params, realized, expected,
-                                 BACKTEST_STRATEGIES.values())
+                                 tags.values())
     print(f"backtest of {args.csv}: {series.prices.size} rows, horizon "
           f"{config.params.horizon}")
-    for label, tag in BACKTEST_STRATEGIES.items():
+    for label, tag in tags.items():
         print(f"{label:<14} cost={rows[tag][0]:.6g} terminal={plans[tag].terminal:.6g}")
-    bundles = trajectory_bundles(realized, expected, plans, BACKTEST_STRATEGIES["good"])
+    bundles = trajectory_bundles(realized, expected, plans, tags["good"])
     files = emit_plotdata(RunArtifact(replace(config, paths=1), [], bundles), config.out_dir)
     print(f"wrote {len(files)} files to {config.out_dir}")
     return EXIT_OK

@@ -54,19 +54,26 @@ def _airy_for(params: MarketParams) -> AiryPair:
     return airy_pair(max(params.risk_ratio ** (2.0 / 3.0) * params.horizon, 1e-6))
 
 
-# tag -> build(params, realized, expected).  Functions are looked up on their
-# modules at call time, so one wrapped in place sees every call.
+# criterion -> its closed form build(params, realized, expected), and tag ->
+# build(criterion, params, realized, expected): the static and a-posteriori
+# baselines are the scenario criterion's closed form.  Functions are looked up
+# on their modules at call time, so one wrapped in place sees every call.
+CLOSED_FORMS = {
+    "quadratic": lambda p, s, e: strategies.good_exec_quadratic_closed(p, s, e),
+    "time": lambda p, s, e: strategies.good_exec_time_closed(p, s, e, _airy_for(p)),
+    "var": lambda p, s, e: strategies.good_exec_var_closed(p, s, e),
+}
 STRATEGIES = {
-    "good-quadratic-closed": lambda p, s, e: strategies.good_exec_quadratic_closed(p, s, e),
-    "good-quadratic-ivp": lambda p, s, e: strategies.good_exec_quadratic_ivp(p, s, e),
-    "good-time-closed": lambda p, s, e: strategies.good_exec_time_closed(p, s, e, _airy_for(p)),
-    "good-time-ivp": lambda p, s, e: strategies.good_exec_time_ivp(p, s, e, _airy_for(p)),
-    "good-var-closed": lambda p, s, e: strategies.good_exec_var_closed(p, s, e),
-    "good-var-ivp": lambda p, s, e: strategies.good_exec_var_ivp(p, s, e),
-    "static": lambda p, s, e: baselines.static_optimal(p, e),
-    "aposteriori": lambda p, s, e: baselines.aposteriori_optimal(p, s),
-    "terminal-penalty": lambda p, s, e: baselines.terminal_penalty_optimal(p, e),
-    "twap": lambda p, s, e: baselines.twap(p, e.grid),
+    "good-quadratic-closed": lambda c, p, s, e: CLOSED_FORMS["quadratic"](p, s, e),
+    "good-quadratic-ivp": lambda c, p, s, e: strategies.good_exec_quadratic_ivp(p, s, e),
+    "good-time-closed": lambda c, p, s, e: CLOSED_FORMS["time"](p, s, e),
+    "good-time-ivp": lambda c, p, s, e: strategies.good_exec_time_ivp(p, s, e, _airy_for(p)),
+    "good-var-closed": lambda c, p, s, e: CLOSED_FORMS["var"](p, s, e),
+    "good-var-ivp": lambda c, p, s, e: strategies.good_exec_var_ivp(p, s, e),
+    "static": lambda c, p, s, e: baselines.static_optimal(p, e, CLOSED_FORMS[c]),
+    "aposteriori": lambda c, p, s, e: baselines.aposteriori_optimal(p, s, CLOSED_FORMS[c]),
+    "terminal-penalty": lambda c, p, s, e: baselines.terminal_penalty_optimal(p, e),
+    "twap": lambda c, p, s, e: baselines.twap(p, e.grid),
 }
 ALL_STRATEGIES = tuple(STRATEGIES)
 GOOD_STRATEGIES = tuple(tag for tag in STRATEGIES if tag.startswith("good-"))
@@ -138,12 +145,6 @@ class RunArtifact:
     stats: list[StrategyStats]
     trajectories: list[TrajectoryBundle] = field(default_factory=list)
 
-    def stats_for(self, tag: str) -> StrategyStats:
-        for s in self.stats:
-            if s.tag == tag:
-                return s
-        raise KeyError(tag)
-
 
 def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
                    expected: SampledPath, tags, keep=None):
@@ -158,7 +159,7 @@ def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
     plans, rows = {}, {}
     with _overflow_is_domain_error(params, expected):
         for tag in tags:
-            plan = STRATEGIES[tag](params, realized, expected)
+            plan = STRATEGIES[tag](criterion, params, realized, expected)
             rows[tag] = (costs.cost_J(criterion, params, realized, plan),
                          plan.terminal - params.target_inventory,
                          plan.xi if tag in GOOD_STRATEGIES else np.nan)

@@ -87,10 +87,6 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.times)))
-
     def __len__(self) -> int:
         return self.times.size
 

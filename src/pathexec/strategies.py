@@ -342,11 +342,11 @@ def time_trajectory(params: MarketParams, realized: SampledPath,
     a, da, b, db = _airy_basis(params, t, airy)
     e0 = expected.values[..., :1]
     phi, dphi = _time_response(params, t, a, realized.values, e0)
-    ephi, _ = _time_response(params, t, a, expected.values, e0)
+    ephi = phi if expected is realized else _time_response(params, t, a, expected.values, e0)[0]
     # boundary rows: q(0) = x0 and E[q(T)] = xT
     det = a[0] * b[-1] - a[-1] * b[0]
     rhs0 = params.initial_inventory
-    rhs1 = params.target_inventory + a[-1] * ephi[-1]
+    rhs1 = params.target_inventory + a[-1] * _col(ephi[..., -1])
     c_a = (rhs0 * b[-1] - rhs1 * b[0]) / det
     c_b = (rhs1 * a[0] - rhs0 * a[-1]) / det
     q = c_a * a + c_b * b - a * phi

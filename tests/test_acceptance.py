@@ -174,11 +174,11 @@ def test_criterion_5_degeneration_identities(grid):
     realized = sample_path(model, grid, 3_14)
     x0 = FIG2.initial_inventory
 
-    static = static_optimal(FIG2, expected)
+    static = static_optimal(FIG2, expected, good_exec_quadratic_closed)
     good_on_forecast = good_exec_quadratic_closed(FIG2, expected, expected)
     gap_static = np.max(np.abs(static.q.values - good_on_forecast.q.values))
 
-    apost = aposteriori_optimal(FIG2, realized)
+    apost = aposteriori_optimal(FIG2, realized, good_exec_quadratic_closed)
     good_realized_k = good_exec_quadratic_closed(FIG2, realized, realized)
     gap_apost = np.max(np.abs(apost.q.values - good_realized_k.q.values))
 
@@ -224,7 +224,7 @@ def test_criterion_7_reduction_to_static():
                           initial_inventory=1_000.0, horizon=1.0)
     model = ArithmeticBrownian(s0=100.0, sigma=2.0)
     expected = expected_path(model, grid)
-    static = static_optimal(params, expected)
+    static = static_optimal(params, expected, good_exec_quadratic_closed)
     seeds = np.random.SeedSequence(7_77).generate_state(10_000, np.uint64)
     realized = sample_path(model, grid, seeds)
     j_static = cost_J("quadratic", params, realized, static)

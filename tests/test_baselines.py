@@ -8,9 +8,13 @@ from pathexec import (
     MarketParams,
     SampledPath,
     TimeGrid,
+    airy_pair,
     aposteriori_optimal,
     challenger_plans,
     cost_J,
+    good_exec_quadratic_closed,
+    good_exec_time_closed,
+    good_exec_var_closed,
     static_optimal,
     terminal_penalty_optimal,
     twap,
@@ -24,7 +28,7 @@ PARAMS = MarketParams(impact=1.35, risk_aversion=1.15,
 
 def test_static_constant_forecast_is_sinh_profile(grid):
     e = SampledPath.constant(grid, 100.0)
-    plan = static_optimal(PARAMS, e)
+    plan = static_optimal(PARAMS, e, good_exec_quadratic_closed)
     c3 = PARAMS.risk_ratio
     analytic = 10_000.0 * np.sinh(c3 * (1.0 - grid.times)) / math.sinh(c3)
     assert np.allclose(plan.q.values, analytic, atol=1e-6 * 10_000.0)
@@ -35,9 +39,22 @@ def test_static_risk_neutral_is_twap(grid):
     p0 = MarketParams(impact=1.35, risk_aversion=0.0,
                       initial_inventory=10_000.0, horizon=1.0)
     e = SampledPath.constant(grid, 100.0)
-    st = static_optimal(p0, e)
+    st = static_optimal(p0, e, good_exec_quadratic_closed)
     tw = twap(p0, grid)
     assert np.allclose(st.q.values, tw.q.values, atol=1e-9 * 10_000.0)
+
+
+@pytest.mark.parametrize("criterion", ["time", "var"])
+def test_static_of_the_criterion_beats_the_quadratic_static_on_the_forecast(criterion):
+    # each criterion's static plan is its pathwise optimum on the forecast path
+    params = MarketParams(impact=1.35, risk_aversion=4.0, initial_inventory=1_000.0, horizon=1.0)
+    e = expected_path(ArithmeticBrownian(100.0, 5.0), TimeGrid.uniform(1.0, 512))
+    airy = airy_pair(params.risk_ratio ** (2.0 / 3.0) * params.horizon)
+    closed = {"time": lambda p, s, x: good_exec_time_closed(p, s, x, airy),
+              "var": good_exec_var_closed}[criterion]
+    own = static_optimal(params, e, closed)
+    quadratic = static_optimal(params, e, good_exec_quadratic_closed)
+    assert cost_J(criterion, params, e, own) <= cost_J(criterion, params, e, quadratic)
 
 
 def test_twap_line(grid):
@@ -49,10 +66,10 @@ def test_twap_line(grid):
 
 def test_aposteriori_degenerations(grid, brownian_path):
     e = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
-    st = static_optimal(PARAMS, e)
-    apost_of_forecast = aposteriori_optimal(PARAMS, e)
+    st = static_optimal(PARAMS, e, good_exec_quadratic_closed)
+    apost_of_forecast = aposteriori_optimal(PARAMS, e, good_exec_quadratic_closed)
     assert np.array_equal(st.q.values, apost_of_forecast.q.values)
-    ap = aposteriori_optimal(PARAMS, brownian_path)
+    ap = aposteriori_optimal(PARAMS, brownian_path, good_exec_quadratic_closed)
     assert ap.q.values[0] == 10_000.0
     assert abs(ap.terminal) <= 1e-8 * 10_000.0
 
@@ -60,17 +77,18 @@ def test_aposteriori_degenerations(grid, brownian_path):
 def test_aposteriori_beats_pinned_competitors_pathwise(grid):
     model = ArithmeticBrownian(100.0, 5.0)
     e = expected_path(model, grid)
-    st = static_optimal(PARAMS, e)
+    st = static_optimal(PARAMS, e, good_exec_quadratic_closed)
     tw = twap(PARAMS, grid)
     rng = np.random.default_rng(5)
     real = sample_path(model, grid, np.arange(100))
-    j_ap = cost_J("quadratic", PARAMS, real, aposteriori_optimal(PARAMS, real))
+    j_ap = cost_J("quadratic", PARAMS, real,
+                  aposteriori_optimal(PARAMS, real, good_exec_quadratic_closed))
     tol = 1e-9 * (1.0 + np.abs(j_ap))
     assert np.all(j_ap <= cost_J("quadratic", PARAMS, real, st) + tol)
     assert np.all(j_ap <= cost_J("quadratic", PARAMS, real, tw) + tol)
     # brute force: random pinned perturbations never improve on it
     real = sample_path(model, grid, 123)
-    ap = aposteriori_optimal(PARAMS, real)
+    ap = aposteriori_optimal(PARAMS, real, good_exec_quadratic_closed)
     j_ap = cost_J("quadratic", PARAMS, real, ap)
     t = grid.times
     k = np.arange(1, 9)
@@ -94,8 +112,8 @@ def test_weak_euler_lagrange_identity():
     e = expected_path(model, fine)
     realized = sample_path(model, fine, 2024)
     cases = [
-        (static_optimal(PARAMS, e), e.values),
-        (aposteriori_optimal(PARAMS, realized), realized.values),
+        (static_optimal(PARAMS, e, good_exec_quadratic_closed), e.values),
+        (aposteriori_optimal(PARAMS, realized, good_exec_quadratic_closed), realized.values),
     ]
     t = fine.times
     rng = np.random.default_rng(3)
@@ -154,7 +172,7 @@ def test_reduction_to_static_small_monte_carlo():
     params = MarketParams(impact=1.35, risk_aversion=1.15,
                           initial_inventory=1_000.0, horizon=1.0)
     e = expected_path(model, g)
-    st = static_optimal(params, e)
+    st = static_optimal(params, e, good_exec_quadratic_closed)
     seeds = np.random.SeedSequence(21).generate_state(2000, np.uint64)
     real = sample_path(model, g, seeds)
     j_st = cost_J("quadratic", params, real, st)
@@ -179,7 +197,7 @@ def test_aposteriori_reuses_the_realized_convolution():
     model = ArithmeticBrownian(s0=100.0, sigma=5.0)
     grid = TimeGrid.uniform(1.0, 512)
     block = sample_path(model, grid, np.arange(30))
-    plan = aposteriori_optimal(PARAMS, block)
+    plan = aposteriori_optimal(PARAMS, block, good_exec_quadratic_closed)
     # an equal forecast that is another object takes its own convolution
     q, r = quadratic_trajectory(PARAMS, block, SampledPath(grid, block.values.copy()))
     assert plan.q.values[:, 1:].tobytes() == q[:, 1:].tobytes()

@@ -56,19 +56,30 @@ def _expected(s):
     return expected_path(MODEL, s.grid)
 
 
-BUILDERS = {
-    "good-quadratic-closed": lambda p, s: good_exec_quadratic_closed(p, s, _expected(s)),
-    "good-quadratic-ivp": lambda p, s: good_exec_quadratic_ivp(p, s, _expected(s)),
-    "good-time-closed": lambda p, s: good_exec_time_closed(p, s, _expected(s), AIRY),
-    "good-time-ivp": lambda p, s: good_exec_time_ivp(p, s, _expected(s), AIRY),
-    "good-var-closed": lambda p, s: good_exec_var_closed(p, s, _expected(s)),
-    "good-var-ivp": lambda p, s: good_exec_var_ivp(p, s, _expected(s)),
-    "static": lambda p, s: static_optimal(p, _expected(s)),
-    "aposteriori": lambda p, s: aposteriori_optimal(p, s),
-    "terminal-penalty": lambda p, s: terminal_penalty_optimal(p, _expected(s)),
-    "twap": lambda p, s: twap(p, s.grid),
+# criterion -> its closed form; static and aposteriori are it on (forecast,
+# forecast) and on (realized, realized)
+CLOSED = {
+    "quadratic": good_exec_quadratic_closed,
+    "time": lambda p, s, e: good_exec_time_closed(p, s, e, AIRY),
+    "var": good_exec_var_closed,
 }
-BLOCK_TAGS = [t for t in BUILDERS if t in GOOD_STRATEGIES + ("aposteriori",)]
+# tag -> build(criterion, params, realized); only the baselines read the criterion
+BUILDERS = {
+    "good-quadratic-closed": lambda c, p, s: good_exec_quadratic_closed(p, s, _expected(s)),
+    "good-quadratic-ivp": lambda c, p, s: good_exec_quadratic_ivp(p, s, _expected(s)),
+    "good-time-closed": lambda c, p, s: good_exec_time_closed(p, s, _expected(s), AIRY),
+    "good-time-ivp": lambda c, p, s: good_exec_time_ivp(p, s, _expected(s), AIRY),
+    "good-var-closed": lambda c, p, s: good_exec_var_closed(p, s, _expected(s)),
+    "good-var-ivp": lambda c, p, s: good_exec_var_ivp(p, s, _expected(s)),
+    "static": lambda c, p, s: static_optimal(p, _expected(s), CLOSED[c]),
+    "aposteriori": lambda c, p, s: aposteriori_optimal(p, s, CLOSED[c]),
+    "terminal-penalty": lambda c, p, s: terminal_penalty_optimal(p, _expected(s)),
+    "twap": lambda c, p, s: twap(p, s.grid),
+}
+# (tag, criterion) of each builder that reads the realized path
+BLOCK_CASES = ([pytest.param(t, "quadratic", id=t) for t in BUILDERS
+                if t in GOOD_STRATEGIES + ("aposteriori",)]
+               + [pytest.param("aposteriori", c, id=f"aposteriori-{c}") for c in ("time", "var")])
 # dr = drift(t, q, S) dt - dS/(2 c1^2), each drift as its stepper writes it
 IVP_DRIFTS = {
     "good-quadratic-ivp": lambda p, t, q, s: p.risk_ratio**2 * q,
@@ -106,7 +117,8 @@ def _reference(config):
     panels = []
     for seed in seeds:
         realized = sample_path(MODEL, grid, int(seed))
-        plans = {tag: build(params, realized) for tag, build in BUILDERS.items()}
+        plans = {tag: build(config.criterion, params, realized)
+                 for tag, build in BUILDERS.items()}
         for tag in config.strategy_tags:
             j = cost_J(config.criterion, params, realized, plans[tag])
             assert isinstance(j, float) and isinstance(plans[tag].terminal, float)
@@ -168,15 +180,14 @@ def _block(paths=5, grid=GRID):
     return sample_path(MODEL, grid, seeds)
 
 
-@pytest.mark.parametrize("tag, params, grid",
-                         at_both_starts([pytest.param(t, id=t) for t in BLOCK_TAGS]))
-def test_builders_on_a_block_equal_row_by_row(tag, params, grid):
+@pytest.mark.parametrize("tag, criterion, params, grid", at_both_starts(BLOCK_CASES))
+def test_builders_on_a_block_equal_row_by_row(tag, criterion, params, grid):
     block = _block(grid=grid)
-    plan = BUILDERS[tag](params, block)
+    plan = BUILDERS[tag](criterion, params, block)
     assert plan.q.values.shape == plan.r.values.shape == block.values.shape
     for i, row in enumerate(block.values):
         path = SampledPath(grid, row)
-        single = BUILDERS[tag](params, path)
+        single = BUILDERS[tag](criterion, params, path)
         assert np.array_equal(plan.q.values[i], single.q.values)
         assert np.array_equal(plan.r.values[i], single.r.values)
         assert plan.terminal[i] == single.terminal
@@ -195,7 +206,7 @@ def test_cost_on_a_block_equals_row_by_row(criterion, params, grid):
     expected = _expected(block)
     rows = [SampledPath(grid, row) for row in block.values]
     adaptive = good_exec_quadratic_closed(params, block, expected)
-    fixed = static_optimal(params, expected)
+    fixed = static_optimal(params, expected, good_exec_quadratic_closed)
     for plan, per_row in ((adaptive, [good_exec_quadratic_closed(params, r, expected)
                                       for r in rows]),
                           (fixed, [fixed] * len(rows))):
@@ -205,14 +216,14 @@ def test_cost_on_a_block_equals_row_by_row(criterion, params, grid):
         assert costs.shape == (len(rows),) and costs.tolist() == singles
 
 
-@pytest.mark.parametrize("tag", BLOCK_TAGS)
-def test_one_bad_path_fails_the_whole_block(tag):
+@pytest.mark.parametrize("tag, criterion", BLOCK_CASES)
+def test_one_bad_path_fails_the_whole_block(tag, criterion):
     values = _block().values.copy()
     # finite, but its increments and running integrals overflow
     values[2] = 1.7e308
     values[2, :GRID.times.size // 2:2] = -1.7e308
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
-        BUILDERS[tag](PARAMS, SampledPath(GRID, values))
+        BUILDERS[tag](criterion, PARAMS, SampledPath(GRID, values))
 
 
 def test_block_paths_must_be_finite():

@@ -195,6 +195,21 @@ def test_cost_overflow_at_high_urgency_exit_code(tmp_path, capsys, c3):
     assert f"c3*T = {c3:g}" in capsys.readouterr().err
 
 
+def test_static_of_the_var_criterion_runs_at_a_long_horizon(tmp_path, capsys):
+    # c3*T = 596.25 is an urgency that only the quadratic schedule's sinh(c3 T) reads
+    cfg = tmp_path / "var.cfg"
+    cfg.write_text(CONFIG.replace("criterion = quadratic", "criterion = var")
+                   .replace("model.sigma = 2.0", "model.sigma = 5.0")
+                   .replace("params.impact = 1.35", "params.impact = 0.04")
+                   .replace("params.risk_aversion = 1.15", "params.risk_aversion = 0.45")
+                   .replace("params.horizon = 1.0", "params.horizon = 53")
+                   .replace("grid = 128", "grid = 512").replace("paths = 4", "paths = 64")
+                   .replace("good-quadratic-closed, static, twap",
+                            "good-var-closed, good-var-ivp, static, twap"))
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "\nstatic " in capsys.readouterr().out
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_jump_model_moment_overflow_exit_code(tmp_path, capsys):
     # lam (cosh 2 - 1) T ~ 2.8e3: the forecast E[S_t] passes the largest double
@@ -226,14 +241,28 @@ def _history_csv(path):
     return str(path)
 
 
-def test_backtest_overflow_at_high_urgency_exit_code(tmp_path, capsys):
-    # c3*T = 1000/1.35: the replayed schedules pass the largest double
+def _backtest_at_urgency(tmp_path, criterion: str, risk_aversion: str) -> int:
+    """Exit code of a backtest of ``_history_csv`` at T = 1 and c1 = 1.35."""
     bad = tmp_path / "urgent.cfg"
-    bad.write_text(CONFIG.replace("criterion = quadratic", "criterion = time")
-                   .replace("params.risk_aversion = 1.15", "params.risk_aversion = 1000"))
+    bad.write_text(CONFIG.replace("criterion = quadratic", f"criterion = {criterion}")
+                   .replace("params.risk_aversion = 1.15",
+                            f"params.risk_aversion = {risk_aversion}"))
     csv = _history_csv(tmp_path / "hist.csv")
-    assert main(["backtest", csv, "--config", str(bad), "--out", str(tmp_path / "bt")]) == 2
-    assert capsys.readouterr().err == ("error: cost overflows a double at urgency c3*T = 740.741, "
+    return main(["backtest", csv, "--config", str(bad), "--out", str(tmp_path / "bt")])
+
+
+def test_backtest_overflow_at_high_urgency_exit_code(tmp_path, capsys):
+    # c3*T = 1000/1.35: the time criterion's static schedule is past the Airy basis' range
+    assert _backtest_at_urgency(tmp_path, "time", "1000") == 2
+    assert capsys.readouterr().err == (
+        "error: x_max = c3^(2/3)*T = 81.8674 is past the supported urgency range "
+        "(x_max <= 65.398): 1/Ai(x_max)^2 overflows\n")
+
+
+def test_backtest_cost_overflow_names_the_forecast(tmp_path, capsys):
+    # c3*T = 528: the quadratic schedules pass the largest double
+    assert _backtest_at_urgency(tmp_path, "quadratic", repr(1.35 * 528.0)) == 2
+    assert capsys.readouterr().err == ("error: cost overflows a double at urgency c3*T = 528, "
                                        "forecast max |E[S_t]| = 100.154\n")
 
 
@@ -316,6 +345,18 @@ def test_backtest_verb(config_file, tmp_path, capsys):
         "trajectory_0000.csv":
             "74849eb674f75847802cb43eff390711acfeb53596d66a855e7d1a8812de32c4",
     }
+
+
+def test_backtest_replays_the_criterion_baselines(tmp_path, capsys):
+    # under the time criterion, static is that criterion's optimum on the forecast
+    cfg = tmp_path / "time.cfg"
+    cfg.write_text(CONFIG.replace("criterion = quadratic", "criterion = time"))
+    f = _history_csv(tmp_path / "hist.csv")
+    assert main(["backtest", f, "--config", str(cfg), "--out", str(tmp_path / "bt")]) == 0
+    cost = {line.split()[0]: float(line.split()[1].removeprefix("cost="))
+            for line in capsys.readouterr().out.splitlines() if " cost=" in line}
+    assert list(cost) == ["static", "good", "aposteriori", "twap"]
+    assert cost["twap"] >= cost["static"]
 
 
 @pytest.mark.parametrize("prices", [

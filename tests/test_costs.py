@@ -377,5 +377,5 @@ def test_own_terminal_pinned_solution_coincides(grid, brownian_path):
     e = expected_path(ArithmeticBrownian(100.0, 5.0), grid)
     good = good_exec_quadratic_closed(PARAMS, brownian_path, e)
     pinned = aposteriori_optimal(replace(PARAMS, target_inventory=good.terminal),
-                                 brownian_path)
+                                 brownian_path, good_exec_quadratic_closed)
     assert np.max(np.abs(good.q.values - pinned.q.values)) <= 1e-4 * 1_000.0

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathexec import (ConfigError, CsvParseError, DomainError, MarketParams, TimeGrid, airy_pair,
-                      cli, costs, good_exec_time_closed, good_exec_time_ivp, harness,
-                      pricemodels, static_optimal, strategies)
+                      costs, good_exec_quadratic_closed, good_exec_time_closed,
+                      good_exec_time_ivp, harness, pricemodels, static_optimal, strategies)
 from pathexec.harness import (
     TRAJECTORY_COLUMNS,
     ScenarioConfig,
@@ -42,6 +42,11 @@ def basic_config(**overrides):
     return ScenarioConfig(**defaults)
 
 
+def _stats(artifact):
+    """An artifact's stats by tag."""
+    return {s.tag: s for s in artifact.stats}
+
+
 def test_run_scenario_deterministic():
     a = run_scenario(basic_config())
     b = run_scenario(basic_config())
@@ -55,17 +60,17 @@ def test_single_path_deterministic_model():
         paths=1, strategy_tags=("good-quadratic-closed", "static"))
     a = run_scenario(config)
     b = run_scenario(config)
-    assert a.stats_for("static").mean_cost == b.stats_for("static").mean_cost
+    assert _stats(a)["static"].mean_cost == _stats(b)["static"].mean_cost
     # constant price == forecast: the adaptive schedule IS the static one
-    assert a.stats_for("good-quadratic-closed").mean_cost == pytest.approx(
-        a.stats_for("static").mean_cost, rel=1e-12)
+    assert _stats(a)["good-quadratic-closed"].mean_cost == pytest.approx(
+        _stats(a)["static"].mean_cost, rel=1e-12)
 
 
 def test_common_random_numbers_toggling_strategy():
     full = run_scenario(basic_config(
         strategy_tags=("good-quadratic-closed", "static", "twap", "aposteriori")))
     trimmed = run_scenario(basic_config(strategy_tags=("good-quadratic-closed",)))
-    assert full.stats_for("good-quadratic-closed") == trimmed.stats_for("good-quadratic-closed")
+    assert _stats(full)["good-quadratic-closed"] == _stats(trimmed)["good-quadratic-closed"]
 
 
 def test_run_scenario_all_strategy_tags():
@@ -78,7 +83,7 @@ def test_run_scenario_all_strategy_tags():
     )
     artifact = run_scenario(config)
     assert {s.tag for s in artifact.stats} == set(config.strategy_tags)
-    good = artifact.stats_for("good-quadratic-closed")
+    good = _stats(artifact)["good-quadratic-closed"]
     assert good.xi_quantiles is not None and good.xi_quantiles["q10"] > 0
 
 
@@ -129,7 +134,7 @@ def test_evaluate_block_returns_every_plan_unless_told_which_to_keep():
     grid, params = config.grid(), config.params
     realized = pricemodels.sample_path(config.model, grid, 3)
     expected = pricemodels.expected_path(config.model, grid)
-    tags = tuple(cli.BACKTEST_STRATEGIES.values())
+    tags = ("static", "good-quadratic-closed", "aposteriori", "twap")  # backtest's
     plans, rows = harness.evaluate_block("quadratic", params, realized, expected, tags)
     assert list(plans) == list(rows) == list(tags)  # backtest emits every plan
     kept, kept_rows = harness.evaluate_block("quadratic", params, realized, expected, tags,
@@ -147,8 +152,8 @@ def test_closed_vs_ivp_inside_harness():
         paths=1, grid_steps=2**12,
         strategy_tags=("good-quadratic-closed", "good-quadratic-ivp"))
     artifact = run_scenario(config)
-    a = artifact.stats_for("good-quadratic-closed").mean_terminal_error
-    b = artifact.stats_for("good-quadratic-ivp").mean_terminal_error
+    a = _stats(artifact)["good-quadratic-closed"].mean_terminal_error
+    b = _stats(artifact)["good-quadratic-ivp"].mean_terminal_error
     assert abs(a - b) <= 1e-2 * 1_000.0
 
 
@@ -167,7 +172,7 @@ def test_exponential_martingale_unbiased_inside_harness():
 
     config = basic_config(model=ExponentialMartingale(s0=100.0, sigma=0.3),
                           paths=400, strategy_tags=("good-quadratic-closed",))
-    stats = run_scenario(config).stats_for("good-quadratic-closed")
+    stats = _stats(run_scenario(config))["good-quadratic-closed"]
     assert abs(stats.mean_terminal_error) <= 4.0 * stats.terminal_stderr
 
 
@@ -199,6 +204,22 @@ def test_time_tags_build_their_own_airy_pair():
         assert plans[tag].xi.tobytes() == plan.xi.tobytes()
 
 
+@pytest.mark.parametrize("criterion", costs.CRITERIA)
+def test_baselines_are_the_criterion_closed_form_on_one_path(criterion):
+    # static: the closed form on (forecast, forecast); aposteriori: on (realized, realized)
+    config = basic_config(criterion=criterion)
+    grid, params, good = config.grid(), config.params, f"good-{criterion}-closed"
+    realized = pricemodels.sample_path(config.model, grid, np.arange(3, dtype=np.uint64))
+    expected = pricemodels.expected_path(config.model, grid)
+    plans, _ = harness.evaluate_block(criterion, params, realized, expected,
+                                      ("static", "aposteriori"))
+    for tag, path in (("static", expected), ("aposteriori", realized)):
+        own, _ = harness.evaluate_block(criterion, params, path, path, (good,))
+        assert plans[tag].q.values.tobytes() == own[good].q.values.tobytes()
+        assert plans[tag].r.values.tobytes() == own[good].r.values.tobytes()
+        assert np.array_equal(plans[tag].xi, own[good].xi)
+
+
 def test_terminal_penalty_tag_drifts_with_the_forecast():
     # a huge penalty pins q_T to xT; with the forecast as its drift the plan is
     # then the static optimum, within criterion 6's bound of 1e-4 x0
@@ -207,8 +228,9 @@ def test_terminal_penalty_tag_drifts_with_the_forecast():
     grid = TimeGrid.uniform(1.0, 512)
     model = BrownianBridge(s0=100.0, face_value=200.0, sigma=1.0, maturity=1.0)
     e = pricemodels.expected_path(model, grid)
-    plan = harness.STRATEGIES["terminal-penalty"](params, e, e)
-    static = static_optimal(params, e)
+    # the classical quadratic-with-penalty baseline, whatever the criterion
+    plan = harness.STRATEGIES["terminal-penalty"]("time", params, e, e)
+    static = static_optimal(params, e, good_exec_quadratic_closed)
     assert np.max(np.abs(plan.q.values - static.q.values)) <= 1e-4 * params.initial_inventory
 
 

@@ -20,7 +20,7 @@ from pathexec.pricemodels import sample_path
 def test_grid_invariants():
     g = TimeGrid.uniform(2.0, 4)
     assert g.times[0] == 0.0 and g.horizon == 2.0
-    assert g.mesh == pytest.approx(0.5)
+    assert np.max(np.diff(g.times)) == pytest.approx(0.5)
     with pytest.raises(DomainError):
         TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(DomainError):

@@ -161,8 +161,8 @@ def test_every_builder_rejects_a_grid_off_the_market_horizon():
     grid = TimeGrid.uniform(2.0, 64)
     path = SampledPath.constant(grid, 100.0)
     calls = [
-        lambda: static_optimal(FIG2, path),
-        lambda: aposteriori_optimal(FIG2, path),
+        lambda: static_optimal(FIG2, path, good_exec_quadratic_closed),
+        lambda: aposteriori_optimal(FIG2, path, good_exec_quadratic_closed),
         lambda: terminal_penalty_optimal(FIG2, path),
         lambda: twap(FIG2, grid),
         lambda: challenger_plans(FIG2, path, path, 1.0),

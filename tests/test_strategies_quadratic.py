@@ -102,7 +102,7 @@ def test_ivp_rate_perturbation_grows_like_sinh(fig2_params, grid, brownian_path)
         fig2_params.impact, *CRITERIA["quadratic"](c3**2, grid.times),
     )
     law = delta * np.sinh(c3 * grid.times) / c3
-    assert np.max(np.abs((q2 - base.q.values) - law)) <= 5.0 * delta * grid.mesh
+    assert np.max(np.abs((q2 - base.q.values) - law)) <= 5.0 * delta * np.max(np.diff(grid.times))
     # identical data reproduces the identical trajectory
     again = good_exec_quadratic_ivp(fig2_params, brownian_path, expected)
     assert np.array_equal(again.q.values, base.q.values)
@@ -146,7 +146,7 @@ def test_plan_rate_consistency(fig2_params, grid, brownian_path):
     plan = good_exec_quadratic_closed(fig2_params, brownian_path, expected)
     # the trapezoid integral of the analytic rate rebuilds the inventory up
     # to quadrature noise driven by the rough price term in r
-    assert plan.max_rate_consistency_gap() <= 5.0 * math.sqrt(grid.mesh)
+    assert plan.max_rate_consistency_gap() <= 5.0 * math.sqrt(np.max(np.diff(grid.times)))
 
 
 def test_unbiasedness_small_monte_carlo(fig2_params):
