@@ -127,9 +127,10 @@ class OuJumpDiffusion:
     """High-frequency mean-reverting jump diffusion on the log scale.
 
     S_t = exp(m(t) + Y_t + N_t): Y is an Ornstein-Uhlenbeck factor started at
-    zero (dY = -alpha Y dt + sigma dW, exact transitions), N a compound Poisson
-    process with marks +/- a whose event times snap left onto the grid, so the
-    sampled path is cadlag on the grid.  Both moments are exact on the grid:
+    zero (dY = -alpha Y dt + sigma dW), sampled on every grid by its exact
+    AR(1) recursion; N is a compound Poisson process with marks +/- a whose
+    event times snap left onto the grid, so the sampled path is cadlag on the
+    grid.  Both moments are exact on the grid:
     Y_k has variance v_k = sigma^2 (1 - exp(-2 alpha t_k)) / (2 alpha), and N
     at t_k sums the events before t_(k+1) (all of [0, T] at the last point),
     so its mean count is Lambda_k = lam t_(k+1), and S_0 is random once
@@ -165,23 +166,22 @@ class OuJumpDiffusion:
         for row, seed in enumerate(seeds):
             rng_diff, rng_jump = _streams(int(seed), 2)
             rng_diff.standard_normal(out=shocks[row])
-            n_jumps = rng_jump.poisson(self.lam * grid.horizon) if self.lam > 0 else 0
+            try:
+                n_jumps = rng_jump.poisson(self.lam * grid.horizon) if self.lam > 0 else 0
+            except ValueError:  # beyond numpy's Poisson range, about 9.2e18 events
+                raise DomainError(f"model.lambda = {self.lam:g} gives a mean jump count lambda*T"
+                                  f" = {self.lam * grid.horizon:g}, too large to sample") from None
             if n_jumps:
                 offsets.append(np.full(n_jumps, row * t.size))
                 events.append(np.sort(rng_jump.uniform(0.0, grid.horizon, size=n_jumps)))
                 marks.append(self.mark_sampler(rng_jump, n_jumps))
         shocks *= std
 
-        # Ornstein-Uhlenbeck factor, started at zero: the exact AR(1) recursion
+        # Ornstein-Uhlenbeck factor, started at zero: the exact AR(1) recursion,
+        # one step per grid interval on every grid
         y = np.zeros((len(seeds), t.size))
-        if dt.size and np.ptp(dt) <= 1e-12 * dt[0]:
-            # uniform grid: the recursion is a linear filter
-            from scipy.signal import lfilter
-
-            y[:, 1:] = lfilter([1.0], [1.0, -decay[0]], shocks, axis=1)
-        else:
-            for i in range(dt.size):
-                y[:, i + 1] = y[:, i] * decay[i] + shocks[:, i]
+        for i in range(dt.size):
+            y[:, i + 1] = y[:, i] * decay[i] + shocks[:, i]
 
         # compound Poisson factor; left snap: a jump lands on the largest
         # grid point <= its event time

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 import pathexec
 from pathexec.cli import main
 from pathexec.errors import ConfigError
-from pathexec.harness import load_config
+from pathexec.harness import MODELS, load_config
 
 
 CONFIG = """
@@ -232,6 +233,19 @@ def test_forecast_overflow_names_the_forecast(tmp_path, capsys):
     assert float(err.rsplit("= ", 1)[1]) > 1e200
 
 
+def test_jump_intensity_beyond_the_poisson_range_exit_code(tmp_path, capsys):
+    # zero marks keep the forecast finite, and lambda*T = 1e19 is past numpy's Poisson
+    # range; intensities from about 1e8 up to it are not probed, since every path would
+    # allocate lambda*T event times
+    bad = tmp_path / "dense.cfg"
+    bad.write_text(CONFIG.replace("model = arithmetic-bm", "model = ou-jump-diffusion")
+                   .replace("model.s0", "model.lambda = 1e19\nmodel.jump_size = 0\nmodel.s0"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "model.lambda = 1e+19 gives a mean jump count lambda*T = 1e+19" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _history_csv(path):
     """A 2001-row random-walk price history on [0, 1]."""
     rng = np.random.default_rng(8)
@@ -391,17 +405,38 @@ def test_import_and_load_config_leave_scipy_unloaded(config_file):
     assert _scipy_loaded_by(code, config_file) == []
 
 
-@pytest.mark.parametrize("tags, loaded", [
-    (NO_TIME_TAGS, False),
-    (NO_TIME_TAGS + ", good-time-closed", True),
-], ids=["quadratic-var-baselines", "with-good-time"])
-def test_montecarlo_imports_scipy_special_only_for_the_time_criterion(tmp_path, tags, loaded):
+@functools.cache
+def _scipy_special_modules() -> frozenset[str]:
+    return frozenset(_scipy_loaded_by("import scipy.special"))
+
+
+def _config_for(kind: str) -> str:
+    """CONFIG on the given model kind, keeping only the model keys that kind reads."""
+    keys = MODELS[kind][0]
+    return "".join(f"model = {kind}\n" if line.startswith("model =") else line
+                   for line in CONFIG.splitlines(keepends=True)
+                   if not line.startswith("model.") or line[6:].split()[0] in keys)
+
+
+TAG_CASES = [(NO_TIME_TAGS, False, "quadratic-var-baselines"),
+             (NO_TIME_TAGS + ", good-time-closed", True, "with-good-time")]
+
+
+@pytest.mark.parametrize("kind, tags, loaded", [
+    # CONFIG's own model keeps the bare id
+    pytest.param(kind, tags, loaded, id=name if kind == "arithmetic-bm" else f"{kind}-{name}")
+    for kind in MODELS for tags, loaded, name in TAG_CASES])
+def test_montecarlo_imports_scipy_special_only_for_the_time_criterion(tmp_path, kind, tags,
+                                                                      loaded):
+    # no price model needs scipy to sample; only the time criterion's Airy basis does
     cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(CONFIG.replace("good-quadratic-closed, static, twap", tags))
+    cfg.write_text(_config_for(kind).replace("good-quadratic-closed, static, twap", tags))
     code = ("import sys\nfrom pathexec.cli import main\n"
             "if main(['montecarlo', '--config', sys.argv[1], '--out', sys.argv[2]]) != 0:\n"
             "    sys.exit('montecarlo exited nonzero')")
     modules = _scipy_loaded_by(code, str(cfg), str(tmp_path / "mc"))
-    assert ("scipy.special" in modules) == loaded
-    if not loaded:
+    if loaded:
+        assert "scipy.special" in modules
+        assert set(modules) <= _scipy_special_modules()
+    else:
         assert modules == []

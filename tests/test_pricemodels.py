@@ -209,17 +209,23 @@ def _reference_path(model, grid, seed):
     return model.s0 * np.exp(model.sigma * w - 0.5 * model.sigma**2 * t)
 
 
-@pytest.mark.parametrize("kw, grid", [
-    pytest.param(dict(), GRID, id="partial-block"),
-    pytest.param(dict(lam=0.0), GRID, id="no-jumps"),
-    pytest.param(dict(sigma=0.0), GRID, id="no-diffusion"),
-    pytest.param(dict(lam=200.0), GRID, id="dense-jumps"),
-    pytest.param(dict(), NON_UNIFORM, id="non-uniform-grid"),
+SEEDS = (0, 12, 2**63 + 5)
+
+
+@pytest.mark.parametrize("kw, grid, seeds", [
+    pytest.param(dict(), GRID, SEEDS, id="partial-block"),
+    pytest.param(dict(lam=0.0), GRID, SEEDS, id="no-jumps"),
+    pytest.param(dict(sigma=0.0), GRID, SEEDS, id="no-diffusion"),
+    pytest.param(dict(lam=200.0), GRID, SEEDS, id="dense-jumps"),
+    pytest.param(dict(), NON_UNIFORM, SEEDS, id="non-uniform-grid"),
+    # criterion 10's series: 10^5 steps of the recursion against the oracle's linear filter
+    pytest.param(dict(sigma=0.02, mark_sampler=two_point_marks(0.01)),
+                 TimeGrid.uniform(50.0, 100_000), (20_26,), id="long-uniform-grid"),
 ])
-def test_ou_jump_block_sampler_matches_per_path_loop(kw, grid):
+def test_ou_jump_block_sampler_matches_per_path_loop(kw, grid, seeds):
     model = OuJumpDiffusion(**{**dict(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0,
                                       mark_sampler=two_point_marks(0.02)), **kw})
-    for seed in (0, 12, 2**63 + 5):
+    for seed in seeds:
         assert (sample_path(model, grid, seed).values.tobytes()
                 == _reference_ou_jump_path(model, grid, seed).tobytes())
 
