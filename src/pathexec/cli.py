@@ -8,57 +8,46 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .calibration import calibrate_ou_jump, extract_target
 from .errors import PathexecError
-from .harness import (SCENARIO_KEYS, RunArtifact, ScenarioConfig, _parse_kv, config_from_keys,
-                      emit_plotdata, evaluate_block, ingest_csv, run_scenario, trajectory_bundles)
+from .harness import (SCENARIO_KEYS, VERB_KEYS, RunArtifact, ScenarioConfig, _parse_kv, _switch,
+                      config_from_keys, emit_plotdata, evaluate_block, ingest_csv, run_scenario,
+                      trajectory_bundles)
 from .pathcalc import SampledPath, TimeGrid, resample
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 2, 3
-
-
-def _add_common(p: argparse.ArgumentParser, keys: dict[str, str]) -> None:
-    p.add_argument("--config", required=True, help="scenario config file")
-    # each option below sets the scenario key of its name, over the file's value
-    for key, blurb in {**keys, "grid": "grid steps", "out": "output directory"}.items():
-        p.add_argument(f"--{key}", help=f"set the key {key}: {blurb}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pathexec",
                                  description="pathwise-optimal trade execution toolkit")
     sub = ap.add_subparsers(dest="verb", required=True)
+    csv = argparse.ArgumentParser(add_help=False)  # the arguments of the csv verbs
+    csv.add_argument("csv", help="price series file")
+    csv.add_argument("--format", choices=("time-price", "lobster-mid"), default="time-price")
+    csv.add_argument("--window", type=float, help="moving-average window (default: span / 10)")
 
-    for verb, blurb in (("simulate", "run a scenario and emit trajectory plot data"),
-                        ("montecarlo", "run a scenario for aggregates only"),
-                        ("compare", "print a strategy comparison table")):
-        p = sub.add_parser(verb, help=blurb)
-        _add_common(p, {"seed": "root seed", "paths": "path count"})
-        p.add_argument("--dump-trajectories", action="store_const", const="true",
-                       help="set the key dump_trajectories: write per-path trajectory CSVs")
-        p.set_defaults(command=_cmd_scenario)
+    for verb, blurb, command, parents in (
+            ("simulate", "run a scenario and emit trajectory plot data", _cmd_scenario, []),
+            ("montecarlo", "run a scenario for aggregates only", _cmd_scenario, []),
+            ("compare", "print a strategy comparison table", _cmd_scenario, []),
+            ("backtest", "replay strategies on a historical csv", _cmd_backtest, [csv])):
+        p = sub.add_parser(verb, parents=parents, help=blurb)
+        p.add_argument("--config", required=True, help="scenario config file")
+        # each key the verb reads may have an option setting it over the file's value
+        for key, (_, parse, option) in SCENARIO_KEYS.items():
+            if option and key in VERB_KEYS[verb]:
+                flag = {"action": "store_const", "const": "true"} if parse is _switch else {}
+                p.add_argument(f"--{key.replace('_', '-')}", help=f"set the key {key}: {option}",
+                               **flag)
+        p.set_defaults(command=command)
         if verb == "simulate":
             p.set_defaults(dump_trajectories="true")
 
-    p = sub.add_parser("backtest", help="replay strategies on a historical csv")
-    p.add_argument("csv", help="price series file")
-    p.add_argument("--format", choices=("time-price", "lobster-mid"),
-                   default="time-price")
-    p.add_argument("--window", type=float, default=None,
-                   help="moving-average window for the price forecast")
-    _add_common(p, {})
-    p.set_defaults(command=_cmd_backtest)
-
-    p = sub.add_parser("calibrate", help="fit the jump-diffusion model to a csv")
-    p.add_argument("csv", help="price series file")
-    p.add_argument("--format", choices=("time-price", "lobster-mid"),
-                   default="time-price")
-    p.add_argument("--window", type=float, default=None,
-                   help="moving-average window (default: a tenth of the span)")
+    p = sub.add_parser("calibrate", parents=[csv], help="fit the jump-diffusion model to a csv")
     p.add_argument("--threshold", type=float, default=4.0,
                    help="jump threshold in transition standard deviations")
     p.set_defaults(command=_cmd_calibrate)
@@ -69,7 +58,7 @@ def _scenario(args) -> ScenarioConfig:
     keys = _parse_kv(args.config)
     keys.update((key, value) for key, value in vars(args).items()
                 if key in SCENARIO_KEYS and value is not None)
-    return config_from_keys(keys)
+    return config_from_keys(keys, args.verb)
 
 
 def _print_stats(artifact) -> None:
@@ -120,7 +109,7 @@ def _cmd_backtest(args) -> int:
     for label, tag in tags.items():
         print(f"{label:<14} cost={rows[tag][0]:.6g} terminal={plans[tag].terminal:.6g}")
     bundles = trajectory_bundles(realized, expected, plans, tags["good"])
-    files = emit_plotdata(RunArtifact(replace(config, paths=1), [], bundles), config.out_dir)
+    files = emit_plotdata(RunArtifact(config, [], bundles), config.out_dir)
     print(f"wrote {len(files)} files to {config.out_dir}")
     return EXIT_OK
 

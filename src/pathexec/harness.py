@@ -17,7 +17,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -421,16 +421,10 @@ def emit_plotdata(artifact: RunArtifact, out: str) -> list[str]:
         "seed": artifact.config.seed,
         "grid_steps": artifact.config.grid_steps,
         "trajectory_files": len(artifact.trajectories),
-        "strategies": {
-            s.tag: {
-                "mean_cost": s.mean_cost,
-                "cost_stderr": s.cost_stderr,
-                "mean_terminal_error": s.mean_terminal_error,
-                "terminal_stderr": s.terminal_stderr,
-                **({"xi_quantiles": s.xi_quantiles} if s.xi_quantiles else {}),
-            }
-            for s in artifact.stats
-        },
+        # each tag's StrategyStats fields, less the tag and xi_quantiles when None
+        "strategies": {s.tag: {key: value for key, value in asdict(s).items()
+                               if key != "tag" and value is not None}
+                       for s in artifact.stats},
     }
     spath = os.path.join(out, "summary.json")
     with open(spath, "w") as fh:
@@ -481,6 +475,13 @@ def _ou_jump(v: dict[str, float], params: MarketParams) -> pricemodels.OuJumpDif
         mark_sampler=pricemodels.two_point_marks(_finite(v, "jump_size")))
 
 
+def _switch(text: str) -> bool:
+    """dump_trajectories: 1, true or yes, or 0, false or no, in any case."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"dump_trajectories = {text!r} is not 1/true/yes or 0/false/no")
+    return text.lower() in ("1", "true", "yes")
+
+
 # The scenario schema.  model kind -> (model.<key> -> default, build(values,
 # params)); a key whose default is None reaches the build only when given.
 MODELS = {
@@ -498,22 +499,32 @@ MODELS = {
 # params.<field of MarketParams> -> default
 PARAMS = {"impact": 1.0, "risk_aversion": 0.0, "initial_inventory": 1.0, "horizon": 1.0,
           "target_inventory": 0.0, "terminal_penalty": 0.0}
-# key -> (ScenarioConfig field, parser); a key left out keeps the field's default
+# key -> (ScenarioConfig field, parser, help of the CLI option that sets the key,
+# None when it has none); a key left out keeps the field's default
 SCENARIO_KEYS = {
-    "criterion": ("criterion", str),
-    "grid": ("grid_steps", int),
-    "paths": ("paths", int),
-    "seed": ("seed", int),
+    "criterion": ("criterion", str, None),
+    "grid": ("grid_steps", int, "grid steps"),
+    "paths": ("paths", int, "path count"),
+    "seed": ("seed", int, "root seed"),
     "strategies": ("strategy_tags",
-                   lambda text: tuple(s.strip() for s in text.split(",") if s.strip())),
-    "out": ("out_dir", str),
-    "dump_trajectories": ("dump_trajectories", lambda text: text.lower() in ("1", "true", "yes")),
+                   lambda text: tuple(s.strip() for s in text.split(",") if s.strip()), None),
+    "out": ("out_dir", str, "output directory"),
+    "dump_trajectories": ("dump_trajectories", _switch, "write per-path trajectory CSVs"),
 }
+# verb -> the keys it reads, model.* and params.* standing for those of MODELS and
+# PARAMS.  backtest fits no price model and replays fixed schedules on one history.
+VERB_KEYS = {**dict.fromkeys(("simulate", "montecarlo", "compare"),
+                             ("model", "model.*", "params.*", *SCENARIO_KEYS)),
+             "backtest": ("params.*", "criterion", "grid", "out")}
 
 
-def config_from_keys(kv: dict[str, str]) -> ScenarioConfig:
-    """The validated scenario of a ``key = value`` mapping.  Values are parsed
-    first; then a key outside the schema of the chosen model kind raises."""
+def config_from_keys(kv: dict[str, str], verb: str) -> ScenarioConfig:
+    """The validated scenario of a ``key = value`` mapping for ``verb``: a key only
+    other verbs read raises, values are parsed, then a key outside the schema raises."""
+    for key in kv:
+        group = re.sub(r"\..*", ".*", key)  # model.s0 -> model.*
+        if group not in VERB_KEYS[verb] and any(group in keys for keys in VERB_KEYS.values()):
+            raise ConfigError(f"key {key!r} is not read by {verb}")
     kind = kv.get("model", "arithmetic-bm")
     if kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -521,7 +532,7 @@ def config_from_keys(kv: dict[str, str]) -> ScenarioConfig:
     try:
         params = MarketParams(**{key: float(kv.get(f"params.{key}", default))
                                  for key, default in PARAMS.items()})
-        fields = {name: parse(kv[key]) for key, (name, parse) in SCENARIO_KEYS.items()
+        fields = {name: parse(kv[key]) for key, (name, parse, _) in SCENARIO_KEYS.items()
                   if key in kv}
     except ValueError as exc:
         raise ConfigError(f"bad scenario value: {exc}") from exc
@@ -543,5 +554,5 @@ def config_from_keys(kv: dict[str, str]) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse a flat ``key = value`` scenario file (schema in the README)."""
-    return config_from_keys(_parse_kv(path))
+    """Parse a flat ``key = value`` Monte Carlo scenario file (schema in the README)."""
+    return config_from_keys(_parse_kv(path), "montecarlo")

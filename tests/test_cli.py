@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pathexec
-from pathexec.cli import main
+from pathexec.cli import _build_parser, main
 from pathexec.errors import ConfigError
 from pathexec.harness import MODELS, load_config
 
@@ -29,12 +30,22 @@ paths = 4
 seed = 3
 strategies = good-quadratic-closed, static, twap
 """
+# the keys of CONFIG that backtest reads: it fits no price model and replays one history
+BACKTEST_CONFIG = "".join(line + "\n" for line in CONFIG.splitlines()
+                          if line.startswith(("params.", "criterion", "grid")))
 
 
 @pytest.fixture
 def config_file(tmp_path):
     f = tmp_path / "scenario.cfg"
     f.write_text(CONFIG)
+    return str(f)
+
+
+@pytest.fixture
+def backtest_file(tmp_path):
+    f = tmp_path / "backtest.cfg"
+    f.write_text(BACKTEST_CONFIG)
     return str(f)
 
 
@@ -258,7 +269,7 @@ def _history_csv(path):
 def _backtest_at_urgency(tmp_path, criterion: str, risk_aversion: str) -> int:
     """Exit code of a backtest of ``_history_csv`` at T = 1 and c1 = 1.35."""
     bad = tmp_path / "urgent.cfg"
-    bad.write_text(CONFIG.replace("criterion = quadratic", f"criterion = {criterion}")
+    bad.write_text(BACKTEST_CONFIG.replace("criterion = quadratic", f"criterion = {criterion}")
                    .replace("params.risk_aversion = 1.15",
                             f"params.risk_aversion = {risk_aversion}"))
     csv = _history_csv(tmp_path / "hist.csv")
@@ -282,16 +293,65 @@ def test_backtest_cost_overflow_names_the_forecast(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [["--paths", "7"], ["--seed", "5"], ["--dump-trajectories"]],
                          ids=["paths", "seed", "dump-trajectories"])
-def test_backtest_refuses_the_monte_carlo_options(config_file, tmp_path, capsys, option):
+def test_backtest_refuses_the_monte_carlo_options(backtest_file, tmp_path, capsys, option):
     # backtest replays its four schedules on the one history: it reads no path
     # count, seed or dump switch, so their options are usage errors
     csv = _history_csv(tmp_path / "hist.csv")
     out = tmp_path / "bt"
     with pytest.raises(SystemExit) as stop:
-        main(["backtest", csv, "--config", config_file, "--out", str(out), *option])
+        main(["backtest", csv, "--config", backtest_file, "--out", str(out), *option])
     assert stop.value.code == 2
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["model = ou-jump-diffusion", "model.s0 = 100", "paths = 7",
+                                  "seed = 5", "strategies = twap", "dump_trajectories = false"])
+def test_backtest_refuses_the_monte_carlo_keys(tmp_path, capsys, line):
+    # the file keys of the options above, and the price model's, are errors too
+    cfg = tmp_path / "mc-keys.cfg"
+    cfg.write_text(BACKTEST_CONFIG + line + "\n")
+    out = tmp_path / "bt"
+    csv = _history_csv(tmp_path / "hist.csv")
+    assert main(["backtest", csv, "--config", str(cfg), "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: key {key!r} is not read by backtest\n"
+    assert not out.exists()
+
+
+def _options(verb: str) -> set[str]:
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices[verb]._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("verb, options", [
+    *((verb, "--config --seed --paths --grid --out --dump-trajectories")
+      for verb in ("simulate", "montecarlo", "compare")),
+    ("backtest", "--config --grid --out --format --window"),
+    ("calibrate", "--format --window --threshold"),
+])
+def test_each_verb_has_the_options_of_the_keys_it_reads(verb, options):
+    assert _options(verb) == set(options.split())
+
+
+@pytest.mark.parametrize("value, trajectories", [
+    ("1", 4), ("TRUE", 4), ("Yes", 4), ("0", 0), ("false", 0), ("NO", 0)])
+def test_dump_trajectories_values(tmp_path, value, trajectories):
+    cfg = tmp_path / "dump.cfg"
+    cfg.write_text(CONFIG + f"dump_trajectories = {value}\n")
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert json.load(open(tmp_path / "out" / "summary.json"))["trajectory_files"] == trajectories
+
+
+@pytest.mark.parametrize("value", ["on", "ture", ""])
+def test_mistyped_dump_trajectories_exit_code(tmp_path, capsys, value):
+    # a typo no longer runs with dumping off
+    cfg = tmp_path / "dump.cfg"
+    cfg.write_text(CONFIG + f"dump_trajectories = {value}\n")
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: bad scenario value: dump_trajectories = "
+                                       f"{value!r} is not 1/true/yes or 0/false/no\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fmt", ["time-price", "lobster-mid"])
@@ -336,10 +396,10 @@ def test_calibrate_non_finite_option_exit_code(tmp_path, capsys, option, value):
     assert "must be a finite number > 0" in capsys.readouterr().err
 
 
-def test_backtest_verb(config_file, tmp_path, capsys):
+def test_backtest_verb(backtest_file, tmp_path, capsys):
     f = _history_csv(tmp_path / "hist.csv")
     out = tmp_path / "bt"
-    code = main(["backtest", f, "--config", config_file, "--out", str(out)])
+    code = main(["backtest", f, "--config", backtest_file, "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "aposteriori" in text
@@ -355,7 +415,7 @@ def test_backtest_verb(config_file, tmp_path, capsys):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in sorted(os.listdir(out))}
     assert digests == {
-        "summary.json": "6a9d6b490fe73934bed19ab2e53875e1336b550802070bc988ab025f29d14c90",
+        "summary.json": "99d2e068241c50ba0f4230ad2fbe2e8350c8759db3af02bbbda140eb91ddfdc8",
         "trajectory_0000.csv":
             "74849eb674f75847802cb43eff390711acfeb53596d66a855e7d1a8812de32c4",
     }
@@ -364,7 +424,7 @@ def test_backtest_verb(config_file, tmp_path, capsys):
 def test_backtest_replays_the_criterion_baselines(tmp_path, capsys):
     # under the time criterion, static is that criterion's optimum on the forecast
     cfg = tmp_path / "time.cfg"
-    cfg.write_text(CONFIG.replace("criterion = quadratic", "criterion = time"))
+    cfg.write_text(BACKTEST_CONFIG.replace("criterion = quadratic", "criterion = time"))
     f = _history_csv(tmp_path / "hist.csv")
     assert main(["backtest", f, "--config", str(cfg), "--out", str(tmp_path / "bt")]) == 0
     cost = {line.split()[0]: float(line.split()[1].removeprefix("cost="))
@@ -377,11 +437,11 @@ def test_backtest_replays_the_criterion_baselines(tmp_path, capsys):
     100.0 + 0.02 * np.arange(50.0),  # too short for the jump-diffusion calibration
     np.full(2_001, 100.0),           # flat, so its OU residual is degenerate
 ], ids=["50-rows", "flat"])
-def test_backtest_needs_only_the_moving_average_target(config_file, tmp_path, prices):
+def test_backtest_needs_only_the_moving_average_target(backtest_file, tmp_path, prices):
     f = tmp_path / "hist.csv"
     t = np.linspace(0.0, 1.0, prices.size)
     f.write_text("\n".join(f"{ti},{pi}" for ti, pi in zip(t, prices)) + "\n")
-    assert main(["backtest", str(f), "--config", config_file, "--out", str(tmp_path / "bt")]) == 0
+    assert main(["backtest", str(f), "--config", backtest_file, "--out", str(tmp_path / "bt")]) == 0
 
 
 NO_TIME_TAGS = ("good-quadratic-closed, good-quadratic-ivp, good-var-closed, good-var-ivp, "
