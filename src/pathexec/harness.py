@@ -469,16 +469,16 @@ def _constant(level: float):
 
 
 def _ou_jump(v: dict[str, float], params: MarketParams) -> pricemodels.OuJumpDiffusion:
-    level = _finite(v, "target_price" if "target_price" in v else "s0")
+    # the OU factor starts at 0, so s0 is both S_0 and the reversion level
     return pricemodels.OuJumpDiffusion(
-        m=_constant(math.log(level)), alpha=v["alpha"], sigma=v["sigma"], lam=v["lambda"],
-        mark_sampler=pricemodels.two_point_marks(_finite(v, "jump_size")))
+        m=_constant(math.log(_finite(v, "s0"))), alpha=v["alpha"], sigma=v["sigma"],
+        lam=v["lambda"], mark_sampler=pricemodels.two_point_marks(_finite(v, "jump_size")))
 
 
 def _switch(text: str) -> bool:
     """dump_trajectories: 1, true or yes, or 0, false or no, in any case."""
     if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"dump_trajectories = {text!r} is not 1/true/yes or 0/false/no")
+        raise ValueError("not 1/true/yes or 0/false/no")
     return text.lower() in ("1", "true", "yes")
 
 
@@ -491,8 +491,8 @@ MODELS = {
                                lambda v, p: pricemodels.ExponentialMartingale(**v)),
     "brownian-bridge": ({"s0": 100.0, "face_value": 100.0, "sigma": 1.0, "maturity": None},
                         lambda v, p: pricemodels.BrownianBridge(**{"maturity": p.horizon, **v})),
-    "ou-jump-diffusion": ({"target_price": None, "s0": 100.0, "alpha": 5.0, "sigma": 0.02,
-                           "lambda": 0.0, "jump_size": 0.01}, _ou_jump),
+    "ou-jump-diffusion": ({"s0": 100.0, "alpha": 5.0, "sigma": 0.02, "lambda": 0.0,
+                           "jump_size": 0.01}, _ou_jump),
     "deterministic": ({"s0": 100.0},
                       lambda v, p: pricemodels.DeterministicPrice(fn=_constant(_finite(v, "s0")))),
 }
@@ -519,8 +519,8 @@ VERB_KEYS = {**dict.fromkeys(("simulate", "montecarlo", "compare"),
 
 
 def config_from_keys(kv: dict[str, str], verb: str) -> ScenarioConfig:
-    """The validated scenario of a ``key = value`` mapping for ``verb``: a key only
-    other verbs read raises, values are parsed, then a key outside the schema raises."""
+    """The validated scenario of a ``key = value`` mapping for ``verb``: a key only other
+    verbs read raises, a text its key's parser refuses raises, then an unknown key raises."""
     for key in kv:
         group = re.sub(r"\..*", ".*", key)  # model.s0 -> model.*
         if group not in VERB_KEYS[verb] and any(group in keys for keys in VERB_KEYS.values()):
@@ -529,28 +529,33 @@ def config_from_keys(kv: dict[str, str], verb: str) -> ScenarioConfig:
     if kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
     model_defaults, build = MODELS[kind]
+    parsers = {"model": str, **{f"params.{key}": float for key in PARAMS},
+               **{f"model.{key}": float for key in model_defaults},
+               **{key: parse for key, (_, parse, _) in SCENARIO_KEYS.items()}}
+    values = {}
+    for key, text in kv.items():
+        try:
+            values[key] = parsers.get(key, str)(text)  # an unknown key raises below
+        except ValueError as exc:
+            raise ConfigError(f"bad scenario value: {key} = {text!r}: {exc}") from exc
     try:
-        params = MarketParams(**{key: float(kv.get(f"params.{key}", default))
+        params = MarketParams(**{key: values.get(f"params.{key}", default)
                                  for key, default in PARAMS.items()})
-        fields = {name: parse(kv[key]) for key, (name, parse, _) in SCENARIO_KEYS.items()
-                  if key in kv}
-    except ValueError as exc:
-        raise ConfigError(f"bad scenario value: {exc}") from exc
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        model = build({key: float(kv.get(f"model.{key}", default))
+        model = build({key: values.get(f"model.{key}", default)
                        for key, default in model_defaults.items()
-                       if default is not None or f"model.{key}" in kv}, params)
+                       if default is not None or f"model.{key}" in values}, params)
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"bad model parameters: {exc}") from exc
-    known = {"model", *SCENARIO_KEYS, *(f"params.{key}" for key in PARAMS),
-             *(f"model.{key}" for key in model_defaults)}
     for key in kv:
-        if key not in known:
+        if key not in parsers:
             where = f" for model kind {kind!r}" if key.startswith("model.") else ""
             raise ConfigError(f"unknown key {key!r}{where}")
-    return ScenarioConfig(model=model, params=params, **fields)
+    return ScenarioConfig(model=model, params=params,
+                          **{name: values[key] for key, (name, _, _) in SCENARIO_KEYS.items()
+                             if key in values})
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -38,16 +38,16 @@ __all__ = [
 ]
 
 
-def _streams(seed: int, n: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+def _stream(seed, k: int) -> np.random.Generator:
+    """Sub-stream k of a seed: the k-th child of ``SeedSequence(seed).spawn()``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(k,))))
 
 
 def _brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
     """W on the grid, one row per seed, each drawn from its seed's first sub-stream."""
     w = np.zeros((len(seeds), len(grid)))
     for row, seed in enumerate(seeds):
-        _streams(int(seed), 1)[0].standard_normal(out=w[row, 1:])
+        _stream(seed, 0).standard_normal(out=w[row, 1:])
     w[:, 1:] *= np.sqrt(np.diff(grid.times))
     np.cumsum(w[:, 1:], axis=1, out=w[:, 1:])
     return w
@@ -164,7 +164,7 @@ class OuJumpDiffusion:
         # sorted event times and its marks
         offsets, events, marks = [], [], []
         for row, seed in enumerate(seeds):
-            rng_diff, rng_jump = _streams(int(seed), 2)
+            rng_diff, rng_jump = _stream(seed, 0), _stream(seed, 1)
             rng_diff.standard_normal(out=shocks[row])
             try:
                 n_jumps = rng_jump.poisson(self.lam * grid.horizon) if self.lam > 0 else 0
@@ -245,7 +245,7 @@ class BrownianBridge:
         s = np.empty((len(seeds), len(grid)))
         s[:, 0] = self.s0
         for row, seed in enumerate(seeds):
-            _streams(int(seed), 1)[0].standard_normal(out=s[row, 1:])
+            _stream(seed, 0).standard_normal(out=s[row, 1:])
         # exact transition from t_i to t_(i+1): the conditional noise, plus a
         # dt/gap share of the way from S_i to the face value
         s[:, 1:] *= np.sqrt(np.maximum(self.sigma**2 * dt * (self.maturity - t[1:]) / gap, 0.0))

@@ -7,14 +7,16 @@ neighbourhoods of competitors, for three risk criteria:
 
 ``CRITERIA`` holds each criterion's level weights (a, b) of the running cost
 r S + c1^2 r^2 + a q^2 + b q S.  Each criterion comes in two equivalent
-constructions: a closed-form trajectory driven by cumulative integrals of the
-realized price, and an explicit-Euler initial-value stepper for the
-criterion's Euler-Lagrange equations
+builders of an ``ExecutionPlan``: ``good_exec_*_closed``, the closed form
+driven by cumulative integrals of the realized price, and ``good_exec_*_ivp``,
+an explicit-Euler initial-value stepper for the criterion's Euler-Lagrange
+equations
 
     dq = r dt,      dr = (a q + b S/2) dt / c1^2 - dS / (2 c1^2),
 
 where the price increment enters exactly per step (jumps are never
-smoothed).  The stepper starts from its closed form's rate at t = 0.  Both
+smoothed).  The stepper starts from the rate at t = 0 of its forecast-fed
+closed plan, closed(E, E), which is the ``static`` plan.  Both
 constructions read the realized path only up to the current time; the future
 enters solely through the deterministic forecast t -> E[S_t], so every
 schedule is implementable in real time.  The terminal inventory is
@@ -165,12 +167,6 @@ def _hyperbolic_convolutions(c3: float, t: np.ndarray, values: np.ndarray):
     return conv_cosh, conv_sinh
 
 
-def _xi_from_terminal(c1: float, r_terminal, s_terminal):
-    f_t = 2.0 * c1**2 * r_terminal + s_terminal
-    with np.errstate(divide="ignore"):
-        return _scalar(1.0 / np.abs(f_t))  # inf where f_t == 0
-
-
 def _horizon_times(params: MarketParams, grid: TimeGrid) -> np.ndarray:
     """The grid's times; DomainError unless the grid ends at the market horizon."""
     T = params.horizon
@@ -181,23 +177,24 @@ def _horizon_times(params: MarketParams, grid: TimeGrid) -> np.ndarray:
 
 def _plan(params: MarketParams, grid: TimeGrid, q: np.ndarray, r: np.ndarray,
           s_terminal) -> ExecutionPlan:
-    """A plan starting at x0; ``s_terminal=None`` builds it without an xi."""
+    """A plan from x0 with xi = 1/|2 c1^2 r_T + S_T|; ``s_terminal=None`` gives no xi."""
     q = np.array(q, dtype=float)
     q[..., 0] = params.initial_inventory
-    return ExecutionPlan(
-        q=SampledPath(grid, q),
-        r=SampledPath(grid, np.asarray(r, dtype=float)),
-        xi=None if s_terminal is None else _xi_from_terminal(params.impact, r[..., -1], s_terminal),
-    )
+    xi = None
+    if s_terminal is not None:
+        with np.errstate(divide="ignore"):  # inf where 2 c1^2 r_T + S_T == 0
+            xi = _scalar(1.0 / np.abs(2.0 * params.impact**2 * r[..., -1] + s_terminal))
+    return ExecutionPlan(q=SampledPath(grid, q), r=SampledPath(grid, np.asarray(r, dtype=float)),
+                         xi=xi)
 
 
 # ---------------------------------------------------------------------------
 # quadratic inventory cost
 # ---------------------------------------------------------------------------
 
-def quadratic_trajectory(params: MarketParams, realized: SampledPath,
-                         expected: SampledPath) -> tuple[np.ndarray, np.ndarray]:
-    """Inventory and rate arrays of the quadratic-criterion schedule.
+def good_exec_quadratic_closed(params: MarketParams, realized: SampledPath,
+                               expected: SampledPath) -> ExecutionPlan:
+    """Closed-form quadratic-criterion schedule reacting to the realized path.
 
     q_t = (1-a(t)) x0 + xT sinh(c3 t)/sinh(c3 T) - conv_cosh(S)(t)/(2 c1^2) + K sinh(c3 t)
     with a(t) = 1 - sinh(c3 (T-t))/sinh(c3 T).  It solves q'' = c3^2 q - S'/(2 c1^2),
@@ -208,7 +205,7 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
     """
     require_shared_grid(realized, expected)
     if params.risk_neutral:
-        return var_trajectory(replace(params, risk_aversion=0.0), realized, expected)
+        return good_exec_var_closed(replace(params, risk_aversion=0.0), realized, expected)
 
     t = _horizon_times(params, realized.grid)
     T = params.horizon
@@ -229,13 +226,6 @@ def quadratic_trajectory(params: MarketParams, realized: SampledPath,
         - (s + c3 * conv_sinh) / half_impact
         + k * c3 * np.cosh(c3 * t)
     )
-    return q, r
-
-
-def good_exec_quadratic_closed(params: MarketParams, realized: SampledPath,
-                               expected: SampledPath) -> ExecutionPlan:
-    """Closed-form quadratic-criterion schedule reacting to the realized path."""
-    q, r = quadratic_trajectory(params, realized, expected)
     return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
@@ -278,17 +268,18 @@ def _euler_ivp(t: np.ndarray, s: np.ndarray, r0, x0: float, c1: float,
 
 
 def _euler_plan(params: MarketParams, realized: SampledPath, expected: SampledPath,
-                trajectory, criterion: str) -> ExecutionPlan:
+                closed, criterion: str) -> ExecutionPlan:
     """The ``good-{criterion}-ivp`` plan stepped from x0 and the closed form's r(0).
 
     The stepper's weights are ``CRITERIA[criterion]`` at c3^2 = c2^2/c1^2.
-    The forecast-fed closed form gives r(0) for S_0 = E_0; every criterion's
-    r(0) moves by -(S_0 - E_0)/(2 c1^2) with the realized start.
+    ``closed(params, expected, expected)``, the forecast-fed closed plan (the
+    ``static`` plan), gives r(0) for S_0 = E_0; every criterion's r(0) moves by
+    -(S_0 - E_0)/(2 c1^2) with the realized start.
     """
     require_shared_grid(realized, expected)
     t = realized.grid.times
     s0_gap = realized.values[..., 0] - expected.values[..., 0]
-    r0 = trajectory(params, expected, expected)[1][..., 0] - s0_gap / (2.0 * params.impact**2)
+    r0 = closed(params, expected, expected).r.values[..., 0] - s0_gap / (2.0 * params.impact**2)
     q, r = _euler_ivp(t, realized.values, r0, params.initial_inventory, params.impact,
                       *CRITERIA[criterion](params.risk_ratio**2, t))
     return _plan(params, realized.grid, q, r, realized.values[..., -1])
@@ -297,7 +288,7 @@ def _euler_plan(params: MarketParams, realized: SampledPath, expected: SampledPa
 def good_exec_quadratic_ivp(params: MarketParams, realized: SampledPath,
                             expected: SampledPath) -> ExecutionPlan:
     """Euler-stepped quadratic schedule."""
-    return _euler_plan(params, realized, expected, quadratic_trajectory, "quadratic")
+    return _euler_plan(params, realized, expected, good_exec_quadratic_closed, "quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +318,9 @@ def _time_response(params: MarketParams, t: np.ndarray, a: np.ndarray,
     return phi, dphi
 
 
-def time_trajectory(params: MarketParams, realized: SampledPath,
-                    expected: SampledPath, airy: AiryPair) -> tuple[np.ndarray, np.ndarray]:
-    """Inventory and rate arrays of the time-weighted schedule.
+def good_exec_time_closed(params: MarketParams, realized: SampledPath,
+                          expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
+    """Closed-form schedule for the time-weighted criterion.
 
     q_t = cA a(t) + cB b(t) - a(t) phi(t) with a, b the rescaled Airy pair;
     phi integrates the realized path from the forecast's start E_0, while the
@@ -337,7 +328,7 @@ def time_trajectory(params: MarketParams, realized: SampledPath,
     E[q_T] = xT.  Without risk aversion the criterion is the quadratic one.
     """
     if params.risk_neutral:
-        return quadratic_trajectory(params, realized, expected)
+        return good_exec_quadratic_closed(params, realized, expected)
     t = _horizon_times(params, require_shared_grid(realized, expected))
     a, da, b, db = _airy_basis(params, t, airy)
     e0 = expected.values[..., :1]
@@ -351,13 +342,6 @@ def time_trajectory(params: MarketParams, realized: SampledPath,
     c_b = (rhs1 * a[0] - rhs0 * a[-1]) / det
     q = c_a * a + c_b * b - a * phi
     r = c_a * da + c_b * db - da * phi - a * dphi
-    return q, r
-
-
-def good_exec_time_closed(params: MarketParams, realized: SampledPath,
-                          expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
-    """Closed-form schedule for the time-weighted criterion."""
-    q, r = time_trajectory(params, realized, expected, airy)
     return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
@@ -365,16 +349,17 @@ def good_exec_time_ivp(params: MarketParams, realized: SampledPath,
                        expected: SampledPath, airy: AiryPair) -> ExecutionPlan:
     """Euler-stepped time-weighted schedule."""
     return _euler_plan(params, realized, expected,
-                       lambda p, s, e: time_trajectory(p, s, e, airy), "time")
+                       lambda p, s, e: good_exec_time_closed(p, s, e, airy), "time")
 
 
 # ---------------------------------------------------------------------------
 # value-at-risk inspired criterion
 # ---------------------------------------------------------------------------
 
-def var_trajectory(params: MarketParams, realized: SampledPath,
-                   expected: SampledPath) -> tuple[np.ndarray, np.ndarray]:
-    """q_t = (1-t/T) x0 + (t/T) xT - (1/2c1^2) int_0^t (S_s - c2^2 int_0^s S_u du) ds + K t."""
+def good_exec_var_closed(params: MarketParams, realized: SampledPath,
+                         expected: SampledPath) -> ExecutionPlan:
+    """Closed-form value-at-risk style schedule, K from the forecast so that E[q_T] = xT:
+    q_t = (1-t/T) x0 + (t/T) xT - (1/2c1^2) int_0^t (S_s - c2^2 int_0^s S_u du) ds + K t."""
     t = _horizon_times(params, require_shared_grid(realized, expected))
     T = params.horizon
     c1, c2 = params.impact, params.risk_aversion
@@ -390,17 +375,10 @@ def var_trajectory(params: MarketParams, realized: SampledPath,
     k = _col(outer_e[..., -1]) / (half_impact * T)
     q = x0 + (t / T) * (x_t - x0) - outer_s / half_impact + k * t
     r = (x_t - x0) / T - (realized.values - c2**2 * inner_s) / half_impact + k
-    return q, r
-
-
-def good_exec_var_closed(params: MarketParams, realized: SampledPath,
-                         expected: SampledPath) -> ExecutionPlan:
-    """Closed-form schedule under the value-at-risk style criterion."""
-    q, r = var_trajectory(params, realized, expected)
     return _plan(params, realized.grid, q, r, realized.values[..., -1])
 
 
 def good_exec_var_ivp(params: MarketParams, realized: SampledPath,
                       expected: SampledPath) -> ExecutionPlan:
     """Euler-stepped schedule under the value-at-risk style criterion."""
-    return _euler_plan(params, realized, expected, var_trajectory, "var")
+    return _euler_plan(params, realized, expected, good_exec_var_closed, "var")

@@ -20,7 +20,6 @@ from pathexec import (
     twap,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import quadratic_trajectory
 
 PARAMS = MarketParams(impact=1.35, risk_aversion=1.15,
                       initial_inventory=10_000.0, horizon=1.0)
@@ -192,13 +191,3 @@ def test_challengers_are_fuel_constrained_and_adapted(grid, brownian_path):
         assert abs(ch.terminal) <= 1e-9 * 10_000.0
         assert ch.max_rate_consistency_gap() <= 1e-6 * 10_000.0
 
-
-def test_aposteriori_reuses_the_realized_convolution():
-    model = ArithmeticBrownian(s0=100.0, sigma=5.0)
-    grid = TimeGrid.uniform(1.0, 512)
-    block = sample_path(model, grid, np.arange(30))
-    plan = aposteriori_optimal(PARAMS, block, good_exec_quadratic_closed)
-    # an equal forecast that is another object takes its own convolution
-    q, r = quadratic_trajectory(PARAMS, block, SampledPath(grid, block.values.copy()))
-    assert plan.q.values[:, 1:].tobytes() == q[:, 1:].tobytes()
-    assert plan.r.values.tobytes() == r.tobytes()

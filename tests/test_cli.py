@@ -92,6 +92,30 @@ def test_unknown_key_exit_code(tmp_path, capsys, line, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_ou_jump_level_has_one_key(tmp_path, capsys):
+    # the OU factor starts at 0, so s0 is the reversion level; no second key sets it
+    bad = tmp_path / "level.cfg"
+    bad.write_text(CONFIG.replace("model = arithmetic-bm", "model = ou-jump-diffusion")
+                   .replace("model.sigma = 2.0", "model.target_price = 50"))
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: unknown key 'model.target_price' "
+                                       "for model kind 'ou-jump-diffusion'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("paths", "7x", "invalid literal for int() with base 10: '7x'"),
+    ("params.impact", "abc", "could not convert string to float: 'abc'"),
+    ("model.sigma", "x", "could not convert string to float: 'x'"),
+], ids=["paths", "params.impact", "model.sigma"])
+def test_unparsable_value_names_its_key(tmp_path, capsys, key, text, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key} = {text}\n")
+    assert main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: bad scenario value: {key} = {text!r}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_key_exit_code(tmp_path, capsys):
     bad = tmp_path / "twice.cfg"
     bad.write_text(CONFIG + "seed = 4\n")
@@ -137,9 +161,8 @@ def test_non_finite_model_parameter_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model, key, value", [
-    ("ou-jump-diffusion", "model.target_price", "nan"),
     ("ou-jump-diffusion", "model.s0", "nan"),
-    ("ou-jump-diffusion", "model.target_price", "inf"),
+    ("ou-jump-diffusion", "model.s0", "inf"),
     ("ou-jump-diffusion", "model.jump_size", "nan"),
     ("deterministic", "model.s0", "nan"),
 ])
@@ -350,7 +373,7 @@ def test_mistyped_dump_trajectories_exit_code(tmp_path, capsys, value):
     cfg.write_text(CONFIG + f"dump_trajectories = {value}\n")
     assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (f"error: bad scenario value: dump_trajectories = "
-                                       f"{value!r} is not 1/true/yes or 0/false/no\n")
+                                       f"{value!r}: not 1/true/yes or 0/false/no\n")
     assert not (tmp_path / "out").exists()
 
 

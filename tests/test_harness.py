@@ -502,7 +502,7 @@ def test_load_config_ou_jump_model(tmp_path):
     cfg = tmp_path / "jump.cfg"
     cfg.write_text(
         "model = ou-jump-diffusion\n"
-        "model.target_price = 120.0\n"
+        "model.s0 = 120.0\n"
         "model.alpha = 4.0\n"
         "model.sigma = 0.03\n"
         "model.lambda = 8.0\n"

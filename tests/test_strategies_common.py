@@ -94,6 +94,19 @@ def test_shifted_start_moves_every_initial_rate(criterion):
     assert r0_closed == pytest.approx(r0_shifted, abs=1e-9)
 
 
+@pytest.mark.parametrize("criterion", sorted(PAIRS))
+def test_closed_form_fed_its_own_path_equals_one_fed_a_copy(criterion):
+    # the a-posteriori case: expected is realized, so the realized path's
+    # integrals serve as the forecast's; an equal copy takes its own
+    block = sample_path(MODELS["abm"], GRID, np.arange(30))
+    closed, _, extra = PAIRS[criterion]
+    plan = closed(FIG2, block, block, *extra)
+    copy = closed(FIG2, block, SampledPath(GRID, block.values.copy()), *extra)
+    assert plan.q.values.tobytes() == copy.q.values.tobytes()
+    assert plan.r.values.tobytes() == copy.r.values.tobytes()
+    assert plan.xi.tobytes() == copy.xi.tobytes()
+
+
 def _indexed_euler_loop(t, s, r0, x0, c1, drift):
     """Reference stepper that indexes 2-D time-major arrays at each step."""
     s_time = s.T

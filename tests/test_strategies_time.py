@@ -16,7 +16,6 @@ from pathexec import (
     resample,
 )
 from pathexec.pricemodels import expected_path, sample_path
-from pathexec.strategies import time_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -147,13 +146,3 @@ def test_unbiasedness_small_monte_carlo(airy):
     stderr = terms.std(ddof=1) / math.sqrt(terms.size)
     assert abs(terms.mean()) <= 3.0 * stderr
 
-
-def test_realized_forecast_reuses_the_realized_response(airy):
-    # the a-posteriori case: expected is realized, so phi serves as the forecast's phi
-    grid = TimeGrid.uniform(1.0, 512)
-    block = sample_path(ArithmeticBrownian(s0=100.0, sigma=5.0), grid, np.arange(30))
-    q, r = time_trajectory(PARAMS, block, block, airy)
-    # an equal forecast that is another object takes its own response
-    q_copy, r_copy = time_trajectory(PARAMS, block, SampledPath(grid, block.values.copy()), airy)
-    assert q.tobytes() == q_copy.tobytes()
-    assert r.tobytes() == r_copy.tobytes()
