@@ -13,9 +13,9 @@ import numpy as np
 
 from .calibration import calibrate_ou_jump, extract_target
 from .errors import PathexecError
-from .harness import (SCENARIO_KEYS, VERB_KEYS, RunArtifact, ScenarioConfig, _parse_kv, _switch,
-                      config_from_keys, emit_plotdata, evaluate_block, ingest_csv, run_scenario,
-                      trajectory_bundles)
+from .harness import (CSV_FORMATS, SCENARIO_KEYS, VERB_KEYS, RunArtifact, ScenarioConfig,
+                      _parse_kv, _switch, config_from_keys, emit_plotdata, evaluate_block,
+                      ingest_csv, run_scenario, trajectory_bundles)
 from .pathcalc import SampledPath, TimeGrid, resample
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 2, 3
@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
     csv = argparse.ArgumentParser(add_help=False)  # the arguments of the csv verbs
     csv.add_argument("csv", help="price series file")
-    csv.add_argument("--format", choices=("time-price", "lobster-mid"), default="time-price")
+    csv.add_argument("--format", choices=CSV_FORMATS, default="time-price")
     csv.add_argument("--window", type=float, help="moving-average window (default: span / 10)")
 
     for verb, blurb, command, parents in (
@@ -91,7 +91,7 @@ def _cmd_backtest(args) -> int:
 
     # historical path becomes the realized trajectory on a uniform grid over
     # the normalized horizon; the forecast is the moving-average target
-    grid = TimeGrid.uniform(config.params.horizon, config.grid_steps)
+    grid = config.grid()
     scale = config.params.horizon / series.span
     history = SampledPath(TimeGrid((series.timestamps - series.timestamps[0]) * scale),
                           series.prices)

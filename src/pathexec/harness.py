@@ -10,6 +10,7 @@ reduction: outputs are byte-stable across reruns.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import json
@@ -124,17 +125,11 @@ class StrategyStats:
     xi_quantiles: Optional[dict[str, float]] = None
 
 
-@dataclass
-class TrajectoryBundle:
-    """Per-path panel series kept only when trajectory dumping is on."""
-
-    times: np.ndarray
-    price: np.ndarray
-    expected: np.ndarray
-    q_static: np.ndarray
-    q_good: np.ndarray
-    q_aposteriori: np.ndarray
-    rate_good: np.ndarray
+# one dumped path's panel, kept only when trajectory dumping is on: a field per
+# column of its trajectory CSV, in the file's column order
+TRAJECTORY_COLUMNS = ("t", "price", "expected_price", "q_static", "q_good",
+                      "q_aposteriori", "rate_good")
+TrajectoryBundle = collections.namedtuple("TrajectoryBundle", TRAJECTORY_COLUMNS)
 
 
 @dataclass
@@ -172,14 +167,13 @@ def evaluate_block(criterion: str, params: MarketParams, realized: SampledPath,
 def trajectory_bundles(realized: SampledPath, expected: SampledPath,
                        plans: dict[str, ExecutionPlan], good_tag: str) -> list[TrajectoryBundle]:
     """One panel per realized path: price, forecast, and the static, good and
-    a-posteriori schedules of an ``evaluate_block`` result."""
-    good, apost = plans[good_tag], plans["aposteriori"]
-    rows = (np.atleast_2d(v) for v in (realized.values, good.q.values, apost.q.values,
-                                       good.r.values))
-    return [TrajectoryBundle(times=realized.grid.times, price=price, expected=expected.values,
-                             q_static=plans["static"].q.values, q_good=q_good,
-                             q_aposteriori=q_apost, rate_good=rate_good)
-            for price, q_good, q_apost, rate_good in zip(*rows)]
+    a-posteriori schedules of an ``evaluate_block`` result.  A panel holds views:
+    the forecast-side columns are one array for every path of the block."""
+    good = plans[good_tag]
+    columns = (realized.grid.times, realized.values, expected.values, plans["static"].q.values,
+               good.q.values, plans["aposteriori"].q.values, good.r.values)
+    return [TrajectoryBundle(*row)
+            for row in zip(*np.broadcast_arrays(*map(np.atleast_2d, columns)))]
 
 
 @contextlib.contextmanager
@@ -373,6 +367,10 @@ def _parse_lobster(message_path: str) -> calibration.MidPriceSeries:
     return _read_rows(_lobster_rows(message_path, book_path))
 
 
+# --format name -> parser of a path
+CSV_FORMATS = {"time-price": _parse_time_price, "lobster-mid": _parse_lobster}
+
+
 def ingest_csv(path: str, fmt: str = "time-price") -> calibration.MidPriceSeries:
     """Read a mid-price series from disk.
 
@@ -381,19 +379,15 @@ def ingest_csv(path: str, fmt: str = "time-price") -> calibration.MidPriceSeries
     mid price.  Both follow the rules of ``_series``; a byte that is not
     UTF-8 is a ``CsvParseError``.
     """
-    if fmt == "time-price":
-        return _parse_time_price(path)
-    if fmt == "lobster-mid":
-        return _parse_lobster(path)
-    raise DomainError(f"unknown csv format {fmt!r}")
+    if fmt not in CSV_FORMATS:
+        raise DomainError(f"unknown csv format {fmt!r}")
+    return CSV_FORMATS[fmt](path)
 
 
 # ---------------------------------------------------------------------------
 # plot-data emission
 # ---------------------------------------------------------------------------
 
-TRAJECTORY_COLUMNS = ("t", "price", "expected_price", "q_static", "q_good",
-                      "q_aposteriori", "rate_good")
 _ROW_FORMAT = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS)) + "\n"
 
 
@@ -407,8 +401,7 @@ def emit_plotdata(artifact: RunArtifact, out: str) -> list[str]:
     written: list[str] = []
     for i, tb in enumerate(artifact.trajectories):
         fname = os.path.join(out, f"trajectory_{i:04d}.csv")
-        values = np.column_stack((tb.times, tb.price, tb.expected, tb.q_static, tb.q_good,
-                                  tb.q_aposteriori, tb.rate_good))
+        values = np.column_stack(tb)
         # '%.17g' % x renders a float exactly as format(x, '.17g') does
         with open(fname, "w") as fh:
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
@@ -457,22 +450,17 @@ def _parse_kv(path: str) -> dict[str, str]:
     return out
 
 
-def _finite(values: dict[str, float], key: str) -> float:
-    # a level hides in a callable and a mark size in the mark law: name the config key
-    if not math.isfinite(values[key]):
-        raise ConfigError(f"model.{key} must be finite, got {values[key]}")
-    return values[key]
-
-
 def _constant(level: float):
     return lambda t: np.full_like(np.asarray(t, dtype=float), level)
 
 
 def _ou_jump(v: dict[str, float], params: MarketParams) -> pricemodels.OuJumpDiffusion:
-    # the OU factor starts at 0, so s0 is both S_0 and the reversion level
+    # the OU factor starts at 0, so s0 is both S_0 and the reversion level, a log-price
+    if v["s0"] <= 0:
+        raise ConfigError(f"model.s0 must be > 0 for ou-jump-diffusion, got {v['s0']:g}")
     return pricemodels.OuJumpDiffusion(
-        m=_constant(math.log(_finite(v, "s0"))), alpha=v["alpha"], sigma=v["sigma"],
-        lam=v["lambda"], mark_sampler=pricemodels.two_point_marks(_finite(v, "jump_size")))
+        m=_constant(math.log(v["s0"])), alpha=v["alpha"], sigma=v["sigma"],
+        lam=v["lambda"], mark_sampler=pricemodels.two_point_marks(v["jump_size"]))
 
 
 def _switch(text: str) -> bool:
@@ -494,7 +482,7 @@ MODELS = {
     "ou-jump-diffusion": ({"s0": 100.0, "alpha": 5.0, "sigma": 0.02, "lambda": 0.0,
                            "jump_size": 0.01}, _ou_jump),
     "deterministic": ({"s0": 100.0},
-                      lambda v, p: pricemodels.DeterministicPrice(fn=_constant(_finite(v, "s0")))),
+                      lambda v, p: pricemodels.DeterministicPrice(fn=_constant(v["s0"]))),
 }
 # params.<field of MarketParams> -> default
 PARAMS = {"impact": 1.0, "risk_aversion": 0.0, "initial_inventory": 1.0, "horizon": 1.0,
@@ -520,7 +508,8 @@ VERB_KEYS = {**dict.fromkeys(("simulate", "montecarlo", "compare"),
 
 def config_from_keys(kv: dict[str, str], verb: str) -> ScenarioConfig:
     """The validated scenario of a ``key = value`` mapping for ``verb``: a key only other
-    verbs read raises, a text its key's parser refuses raises, then an unknown key raises."""
+    verbs read raises, a text its key's parser refuses or a non-finite ``params.*`` or
+    ``model.*`` value raises, then an unknown key raises."""
     for key in kv:
         group = re.sub(r"\..*", ".*", key)  # model.s0 -> model.*
         if group not in VERB_KEYS[verb] and any(group in keys for keys in VERB_KEYS.values()):
@@ -538,6 +527,9 @@ def config_from_keys(kv: dict[str, str], verb: str) -> ScenarioConfig:
             values[key] = parsers.get(key, str)(text)  # an unknown key raises below
         except ValueError as exc:
             raise ConfigError(f"bad scenario value: {key} = {text!r}: {exc}") from exc
+        # a level, a mark size or a MarketParams field cannot name its config key later
+        if parsers.get(key) is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {text}")
     try:
         params = MarketParams(**{key: values.get(f"params.{key}", default)
                                  for key, default in PARAMS.items()})

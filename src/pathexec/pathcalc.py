@@ -148,27 +148,19 @@ def require_shared_grid(first, *others) -> TimeGrid:
     return first.grid
 
 
-def _slice_indices(grid: TimeGrid, s: float, t: float) -> tuple[int, int]:
-    i, j = grid.index_of(s), grid.index_of(t)
-    if i > j:
-        raise DomainError("need s <= t")
-    return i, j
-
-
 def young_integral(integrand: SampledPath, integrator: SampledPath, s: float, t: float) -> float:
     """Left-point sum of the integrand against the integrator's increments.
 
     On refining grids this converges to the Young integral of an absolutely
     continuous integrand against a finite p-variation path; jumps of the
-    integrator enter exactly, never smoothed.
+    integrator enter exactly, never smoothed.  It is ``cumulative_young``'s
+    last value over the grid points from ``s`` to ``t``.
     """
-    require_shared_grid(integrand, integrator)
-    i, j = _slice_indices(integrand.grid, s, t)
-    if i == j:
-        return 0.0
-    eta = integrand.values[i:j]
-    ds = np.diff(integrator.values[i : j + 1])
-    return float(eta @ ds)
+    grid = require_shared_grid(integrand, integrator)
+    i, j = grid.index_of(s), grid.index_of(t)
+    if i > j:
+        raise DomainError("need s <= t")
+    return float(cumulative_young(integrand.values[i:j + 1], integrator.values[i:j + 1])[-1])
 
 
 def stieltjes_integral(integrand: SampledPath, differentiated: SampledPath, s: float, t: float) -> float:

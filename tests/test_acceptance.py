@@ -339,8 +339,8 @@ def test_criterion_11_bond_scenario_pipeline(tmp_path):
     # sells faster than the static one (rate gap sign check)
     majority = 0
     for tb in artifact.trajectories:
-        price_gap = tb.price - tb.expected
-        static_rate = np.gradient(tb.q_static, tb.times)
+        price_gap = tb.price - tb.expected_price
+        static_rate = np.gradient(tb.q_static, tb.t)
         mask = np.abs(price_gap) > 1e-9
         agree = np.mean(
             np.sign(static_rate[mask] - tb.rate_good[mask]) == np.sign(price_gap[mask]))

@@ -126,8 +126,8 @@ def _reference(config):
             term[tag].append(plans[tag].terminal - params.target_inventory)
             xi[tag].append(plans[tag].xi)
         good = plans[f"good-{config.criterion}-closed"]
-        panels.append(dict(times=grid.times, price=realized.values,
-                           expected=_expected(realized).values,
+        panels.append(dict(t=grid.times, price=realized.values,
+                           expected_price=_expected(realized).values,
                            q_static=plans["static"].q.values, q_good=good.q.values,
                            q_aposteriori=plans["aposteriori"].q.values,
                            rate_good=good.r.values))

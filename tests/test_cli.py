@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -156,7 +157,7 @@ def test_non_finite_model_parameter_exit_code(tmp_path, capsys):
     bad = tmp_path / "nan.cfg"
     bad.write_text(CONFIG.replace("model.sigma = 2.0", "model.sigma = nan"))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert "ArithmeticBrownian.sigma must be finite" in capsys.readouterr().err
+    assert "model.sigma must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -175,6 +176,23 @@ def test_non_finite_model_level_exit_code(tmp_path, capsys, model, key, value):
         load_config(str(bad))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, line, message", [
+    ("ou-jump-diffusion", "model.s0 = -5", "model.s0 must be > 0 for ou-jump-diffusion, got -5"),
+    ("ou-jump-diffusion", "model.s0 = 0", "model.s0 must be > 0 for ou-jump-diffusion, got 0"),
+    ("arithmetic-bm", "params.impact = nan", "params.impact must be finite, got nan"),
+], ids=["ou-jump-s0-negative", "ou-jump-s0-zero", "impact-nan"])
+def test_bad_model_value_names_its_key(tmp_path, capsys, model, line, message):
+    # the jump level becomes a log and a market parameter a MarketParams field: both are
+    # checked while the config key is still known
+    key = line.split(" = ")[0]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(re.sub(f"^{re.escape(key)} = .*$", line,
+                          CONFIG.replace("arithmetic-bm", model), flags=re.MULTILINE))
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

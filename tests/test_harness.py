@@ -254,9 +254,7 @@ def test_emit_plotdata_and_byte_stability(tmp_path):
 
 def _reference_trajectory_csv(tb: TrajectoryBundle) -> str:
     """Row-by-row writer of a trajectory file: the oracle for emit_plotdata."""
-    cols = (tb.times, tb.price, tb.expected, tb.q_static, tb.q_good,
-            tb.q_aposteriori, tb.rate_good)
-    rows = (",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
+    rows = (",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*tb))
     return ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(rows)
 
 
@@ -266,7 +264,7 @@ def test_emit_plotdata_matches_row_writer(tmp_path):
     artifact = run_scenario(config)
     edge = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e308, 0.1, -1.0 / 3.0])
     artifact.trajectories.append(TrajectoryBundle(
-        times=np.arange(7.0), price=edge, expected=-edge, q_static=edge[::-1],
+        t=np.arange(7.0), price=edge, expected_price=-edge, q_static=edge[::-1],
         q_good=np.nextafter(edge, np.inf), q_aposteriori=edge * 0.5, rate_good=-edge[::-1]))
     files = emit_plotdata(artifact, str(tmp_path / "out"))
     assert len(files) == len(artifact.trajectories) + 1
@@ -278,6 +276,16 @@ def test_emit_plotdata_matches_row_writer(tmp_path):
     assert price == ["-0", "4.9406564584124654e-324", "1.0000000000000001e-05",
                      "10000000000000000", "1e+308", "0.10000000000000001",
                      "-0.33333333333333331"]
+
+
+def test_panels_share_their_forecast_side_columns():
+    # a dumped panel holds views: the columns that read only the forecast are one
+    # array for every path, never a copy per path
+    trajs = run_scenario(basic_config(paths=3, dump_trajectories=True)).trajectories
+    assert len(trajs) == 3
+    for name in ("t", "expected_price", "q_static"):
+        assert np.shares_memory(getattr(trajs[0], name), getattr(trajs[1], name)), name
+        assert np.shares_memory(getattr(trajs[0], name), getattr(trajs[2], name)), name
 
 
 def test_emit_plotdata_empty_artifact(tmp_path):

@@ -144,9 +144,20 @@ def test_resample_rules(grid):
 def test_cumulative_young_runs_the_young_integral(brownian_path):
     eta = SampledPath.from_function(brownian_path.grid, np.cos)
     t = brownian_path.grid.times
+    w, x = eta.values.tolist(), brownian_path.values.tolist()
+
+    def left_point(i, k):  # the oracle: a Python loop over the terms w_m (x_{m+1} - x_m)
+        total = 0.0
+        for m in range(i, k):
+            total += w[m] * (x[m + 1] - x[m])
+        return total
+
     running = cumulative_young(eta.values, brownian_path.values)
     for k in (0, 1, 500, t.size - 1):
-        assert running[k] == pytest.approx(young_integral(eta, brownian_path, 0.0, t[k]),
-                                           abs=1e-12)
+        assert running[k] == pytest.approx(left_point(0, k), rel=1e-12, abs=1e-12)
+        assert young_integral(eta, brownian_path, 0.0, t[k]) == pytest.approx(
+            left_point(0, k), rel=1e-12, abs=1e-12)
+    assert young_integral(eta, brownian_path, t[100], t[500]) == pytest.approx(
+        left_point(100, 500), rel=1e-12, abs=1e-12)
     block = np.stack([brownian_path.values, 2.0 * brownian_path.values])
     assert np.array_equal(cumulative_young(eta.values, block)[0], running)
