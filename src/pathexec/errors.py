@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the domain check of a parameter record."""
+
+import math
 
 
 class PathexecError(Exception):
@@ -7,6 +9,20 @@ class PathexecError(Exception):
 
 class DomainError(PathexecError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+# rule -> whether a value keeps it; both bounds imply finite
+_RULES = {"finite": math.isfinite, "> 0": lambda v: 0 < v < math.inf,
+          ">= 0": lambda v: 0 <= v < math.inf}
+
+
+def check_domain(record, rules: dict[str, str]) -> None:
+    """DomainError naming the first field of ``record`` that breaks its rule in ``_RULES``."""
+    for field, rule in rules.items():
+        value = getattr(record, field)
+        if not _RULES[rule](value):
+            broken = rule if math.isfinite(value) else "finite"
+            raise DomainError(f"{type(record).__name__}.{field} must be {broken}, got {value}")
 
 
 class GridMismatchError(PathexecError):

@@ -539,7 +539,7 @@ def config_from_keys(kv: dict[str, str], verb: str) -> ScenarioConfig:
         model = build({key: values.get(f"model.{key}", default)
                        for key, default in model_defaults.items()
                        if default is not None or f"model.{key}" in values}, params)
-    except (ValueError, DomainError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"bad model parameters: {exc}") from exc
     for key in kv:
         if key not in parsers:

@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_domain
 from .pathcalc import SampledPath, TimeGrid
 
 __all__ = [
@@ -36,6 +36,9 @@ __all__ = [
     "expected_path",
     "variance_path",
 ]
+
+# the largest lambda*T per path: 1e7 events hold about 0.3 GB of times, marks and indices
+_MAX_MEAN_JUMPS = 1e7
 
 
 def _stream(seed, k: int) -> np.random.Generator:
@@ -53,13 +56,6 @@ def _brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
     return w
 
 
-def _require_finite(model, *fields: str) -> None:
-    for name in fields:
-        if not math.isfinite(getattr(model, name)):
-            raise DomainError(f"{type(model).__name__}.{name} must be finite, "
-                              f"got {getattr(model, name)}")
-
-
 @dataclass(frozen=True)
 class TwoPointMarks:
     """Symmetric two-point mark law: +/- size with equal probability."""
@@ -67,8 +63,7 @@ class TwoPointMarks:
     size: float
 
     def __post_init__(self):
-        if not 0.0 <= self.size < math.inf:
-            raise DomainError(f"TwoPointMarks.size must be finite and >= 0, got {self.size}")
+        check_domain(self, {"size": ">= 0"})
 
     def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.size * (2.0 * rng.integers(0, 2, size=n) - 1.0)
@@ -85,9 +80,7 @@ class ArithmeticBrownian:
     sigma: float
 
     def __post_init__(self):
-        _require_finite(self, "s0", "sigma")
-        if self.sigma < 0:
-            raise DomainError("volatility must be >= 0")
+        check_domain(self, {"s0": "finite", "sigma": ">= 0"})
 
     def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
         return self.s0 + self.sigma * _brownian_block(grid, seeds)
@@ -107,9 +100,7 @@ class ExponentialMartingale:
     sigma: float
 
     def __post_init__(self):
-        _require_finite(self, "s0", "sigma")
-        if self.sigma < 0:
-            raise DomainError("volatility must be >= 0")
+        check_domain(self, {"s0": "finite", "sigma": ">= 0"})
 
     def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
         w = _brownian_block(grid, seeds)
@@ -145,11 +136,7 @@ class OuJumpDiffusion:
     mark_sampler: TwoPointMarks = TwoPointMarks(0.01)
 
     def __post_init__(self):
-        _require_finite(self, "alpha", "sigma", "lam")
-        if self.alpha <= 0:
-            raise DomainError("mean-reversion speed must be > 0")
-        if self.sigma < 0 or self.lam < 0:
-            raise DomainError("sigma and jump intensity must be >= 0")
+        check_domain(self, {"alpha": "> 0", "sigma": ">= 0", "lam": ">= 0"})
         if not isinstance(self.mark_sampler, TwoPointMarks):
             raise DomainError("OuJumpDiffusion's moments need two_point_marks(size) marks")
 
@@ -159,22 +146,21 @@ class OuJumpDiffusion:
         dt = np.diff(t)
         decay = np.exp(-self.alpha * dt)
         std = self.sigma * np.sqrt((1.0 - decay**2) / (2.0 * self.alpha))
+        mean_jumps = self.lam * grid.horizon
+        if mean_jumps > _MAX_MEAN_JUMPS:
+            raise DomainError(f"model.lambda = {self.lam:g} gives a mean jump count lambda*T = "
+                              f"{mean_jumps:g}, above the per-path bound of {_MAX_MEAN_JUMPS:g}")
         shocks = np.empty((len(seeds), dt.size))
-        # per path with jumps: its row's offset in the flattened block, its
-        # sorted event times and its marks
-        offsets, events, marks = [], [], []
+        # compound Poisson marks, each on the largest grid point <= its event time
+        n = np.zeros((len(seeds), t.size))
         for row, seed in enumerate(seeds):
             rng_diff, rng_jump = _stream(seed, 0), _stream(seed, 1)
             rng_diff.standard_normal(out=shocks[row])
-            try:
-                n_jumps = rng_jump.poisson(self.lam * grid.horizon) if self.lam > 0 else 0
-            except ValueError:  # beyond numpy's Poisson range, about 9.2e18 events
-                raise DomainError(f"model.lambda = {self.lam:g} gives a mean jump count lambda*T"
-                                  f" = {self.lam * grid.horizon:g}, too large to sample") from None
+            n_jumps = rng_jump.poisson(mean_jumps)
             if n_jumps:
-                offsets.append(np.full(n_jumps, row * t.size))
-                events.append(np.sort(rng_jump.uniform(0.0, grid.horizon, size=n_jumps)))
-                marks.append(self.mark_sampler(rng_jump, n_jumps))
+                events = np.sort(rng_jump.uniform(0.0, grid.horizon, size=n_jumps))
+                np.add.at(n[row], np.searchsorted(t, events, side="right") - 1,
+                          self.mark_sampler(rng_jump, n_jumps))
         shocks *= std
 
         # Ornstein-Uhlenbeck factor, started at zero: the exact AR(1) recursion,
@@ -182,15 +168,7 @@ class OuJumpDiffusion:
         y = np.zeros((len(seeds), t.size))
         for i in range(dt.size):
             y[:, i + 1] = y[:, i] * decay[i] + shocks[:, i]
-
-        # compound Poisson factor; left snap: a jump lands on the largest
-        # grid point <= its event time
-        n = np.zeros_like(y)
-        if events:
-            idx = np.concatenate(offsets) + np.searchsorted(
-                t, np.concatenate(events), side="right") - 1
-            np.add.at(n.reshape(-1), idx, np.concatenate(marks))
-            np.cumsum(n, axis=1, out=n)
+        np.cumsum(n, axis=1, out=n)
         y += self.m(t)
         y += n
         return np.exp(y, out=y)
@@ -226,13 +204,8 @@ class BrownianBridge:
     maturity: float
 
     def __post_init__(self):
-        _require_finite(self, "s0", "face_value", "sigma", "maturity")
-        if self.face_value <= 0:
-            raise DomainError("face value must be > 0")
-        if self.sigma < 0:
-            raise DomainError("volatility must be >= 0")
-        if self.maturity <= 0:
-            raise DomainError("bridge maturity must be > 0")
+        check_domain(self, {"s0": "finite", "face_value": "> 0", "sigma": ">= 0",
+                            "maturity": "> 0"})
 
     def _check_grid(self, grid: TimeGrid) -> None:
         if grid.horizon > self.maturity:

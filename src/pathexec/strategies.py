@@ -30,13 +30,13 @@ path is the one-path case, with float terminals and xi.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .airy import AiryPair
-from .errors import DomainError
+from .errors import DomainError, check_domain
 from .pathcalc import (SampledPath, TimeGrid, cumulative_trapezoid, cumulative_young,
                        require_shared_grid)
 
@@ -85,18 +85,13 @@ class MarketParams:
     terminal_penalty: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
-            raise DomainError("market parameters must be finite")
-        if self.impact <= 0.0:
-            raise DomainError("impact coefficient must be > 0")
+        check_domain(self, {"impact": "> 0", "risk_aversion": ">= 0",
+                            "initial_inventory": "finite", "horizon": "> 0",
+                            "target_inventory": "finite", "terminal_penalty": ">= 0"})
         half_impact = 2.0 * self.impact * self.impact  # ** raises OverflowError, * gives inf
         if not (0.0 < half_impact < math.inf and 1.0 / half_impact < math.inf):
             raise DomainError(f"impact {self.impact:g} is out of range: 2 c1^2 and "
                               "1/(2 c1^2) must be finite, nonzero doubles")
-        if self.risk_aversion < 0.0 or self.terminal_penalty < 0.0:
-            raise DomainError("risk aversion and terminal penalty must be >= 0")
-        if self.horizon <= 0.0:
-            raise DomainError("horizon must be > 0")
 
     @property
     def risk_ratio(self) -> float:

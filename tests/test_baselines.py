@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,25 @@ def test_terminal_penalty_zero_drift(grid):
     plb = terminal_penalty_optimal(pb, drift)
     sinh_profile = 10_000.0 * np.sinh(c3 * (1.0 - grid.times)) / math.sinh(c3)
     assert np.max(np.abs(plb.q.values - sinh_profile)) <= 1e-4 * 10_000.0
+
+
+def test_terminal_penalty_risk_neutral_is_a_straight_line():
+    # risk_aversion = 0 takes phi's c3 -> 0 branch: under zero drift
+    # q_t = x0 (1 + c6^2 (T - t)) / (1 + c6^2 T) at the constant rate -c6^2 x0 / (1 + c6^2 T)
+    x0, T = 1e4, 2.0
+    grid = TimeGrid.uniform(T, 400)
+    drift = SampledPath.constant(grid, 0.0)
+    p = MarketParams(impact=1.35, risk_aversion=0.0, initial_inventory=x0, horizon=T,
+                     terminal_penalty=0.7)
+    c6sq = p.penalty_ratio**2
+    q = x0 * (1.0 + c6sq * (T - grid.times)) / (1.0 + c6sq * T)
+    r = -c6sq * x0 / (1.0 + c6sq * T)
+    for risk_aversion, tol in ((0.0, 1e-12), (1e-6, 1e-11)):  # 1e-6: the hyperbolic branch
+        case = replace(p, risk_aversion=risk_aversion)
+        assert case.risk_neutral == (risk_aversion == 0.0)
+        plan = terminal_penalty_optimal(case, drift)
+        assert np.max(np.abs(plan.q.values - q)) <= tol * x0
+        assert np.max(np.abs(plan.r.values - r)) <= tol * x0
 
 
 def test_terminal_penalty_with_drift_consistency(grid):

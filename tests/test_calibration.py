@@ -58,6 +58,14 @@ def test_extract_target_scale_equivariance():
     assert np.allclose(b.values - a.values, math.log(10.0), atol=1e-12)
 
 
+def test_extract_target_window_beyond_the_span_is_the_full_span():
+    t = np.linspace(0.0, 5.0, 301)
+    series = MidPriceSeries(t, np.exp(np.sin(t)) + 3.0)
+    full = extract_target(series, window=5.0)
+    assert np.array_equal(extract_target(series, window=12.5).values, full.values)
+    assert np.allclose(full.values, np.log(series.prices).mean(), rtol=0.0, atol=1e-12)
+
+
 def test_extract_target_window_validation():
     t = np.linspace(0.0, 1.0, 50)
     series = MidPriceSeries(t, np.ones(50))
@@ -86,6 +94,13 @@ def test_fit_ou_degenerate_and_boundary():
     fit = fit_ou(wn)
     dt = 1.0 / 5000
     assert fit.alpha >= -math.log(1e-6) / dt or fit.boundary
+
+
+def test_fit_ou_refuses_an_explosive_residual():
+    # y_(i+1) = 1.05 y_i: the AR(1) slope is 1.05, so nothing reverts
+    y = 1.05 ** np.arange(201)
+    with pytest.raises(EstimationError, match=r"AR\(1\) slope 1\.050000 >= 1"):
+        fit_ou(SampledPath(TimeGrid.uniform(1.0, 200), y))
 
 
 def test_fit_ou_irregular_timestamps():

@@ -196,6 +196,33 @@ def test_bad_model_value_names_its_key(tmp_path, capsys, model, line, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model, line, message", [
+    ("arithmetic-bm", "model.sigma = -1",
+     "bad model parameters: ArithmeticBrownian.sigma must be >= 0, got -1.0"),
+    ("ou-jump-diffusion", "model.alpha = 0",
+     "bad model parameters: OuJumpDiffusion.alpha must be > 0, got 0.0"),
+    ("ou-jump-diffusion", "model.jump_size = -0.1",
+     "bad model parameters: TwoPointMarks.size must be >= 0, got -0.1"),
+    ("brownian-bridge", "model.face_value = -3",
+     "bad model parameters: BrownianBridge.face_value must be > 0, got -3.0"),
+    ("arithmetic-bm", "params.impact = -1", "MarketParams.impact must be > 0, got -1.0"),
+    ("arithmetic-bm", "params.horizon = 0", "MarketParams.horizon must be > 0, got 0.0"),
+    ("arithmetic-bm", "params.risk_aversion = -2",
+     "MarketParams.risk_aversion must be >= 0, got -2.0"),
+], ids=["model.sigma", "model.alpha", "model.jump_size", "model.face_value", "params.impact",
+        "params.horizon", "params.risk_aversion"])
+def test_out_of_domain_value_names_its_record_field_and_value(tmp_path, capsys, model, line,
+                                                              message):
+    key = line.split(" = ")[0]
+    text = CONFIG.replace("arithmetic-bm", model)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(re.sub(f"^{re.escape(key)} = .*$", line, text, flags=re.MULTILINE)
+                   if f"\n{key} = " in text else text + line + "\n")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("impact", ["1e-170", "1e200"])
 def test_impact_out_of_double_range_exit_code(tmp_path, capsys, impact):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from pathexec import (
     DeterministicPrice,
     DomainError,
     ExponentialMartingale,
+    MarketParams,
     OuJumpDiffusion,
     TimeGrid,
     two_point_marks,
 )
-from pathexec.pricemodels import expected_path, sample_path, variance_path
+from pathexec.pricemodels import (_MAX_MEAN_JUMPS, TwoPointMarks, expected_path, sample_path,
+                                  variance_path)
 
 GRID = TimeGrid.uniform(1.0, 128)
 
@@ -288,8 +292,54 @@ def test_ou_jump_moments_need_two_point_marks():
     with pytest.raises(DomainError, match="two_point_marks"):
         OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0,
                         mark_sampler=lambda rng, n: rng.standard_normal(n))
-    with pytest.raises(DomainError, match="size must be finite and >= 0"):
+    with pytest.raises(DomainError, match=r"TwoPointMarks\.size must be >= 0, got -0\.01"):
         two_point_marks(-0.01)
+
+
+# record -> valid fields, and each float field's rule with a value that breaks it
+DOMAINS = {
+    MarketParams: (dict(impact=1.35, risk_aversion=1.15, initial_inventory=1e3, horizon=1.0),
+                   {"impact": ("> 0", 0.0), "risk_aversion": (">= 0", -2.0),
+                    "initial_inventory": ("finite", math.inf), "horizon": ("> 0", 0.0),
+                    "target_inventory": ("finite", -math.inf),
+                    "terminal_penalty": (">= 0", -1.0)}),
+    ArithmeticBrownian: (dict(s0=100.0, sigma=2.0),
+                         {"s0": ("finite", math.inf), "sigma": (">= 0", -1.0)}),
+    ExponentialMartingale: (dict(s0=100.0, sigma=0.3),
+                            {"s0": ("finite", -math.inf), "sigma": (">= 0", -0.3)}),
+    OuJumpDiffusion: (dict(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=10.0),
+                      {"alpha": ("> 0", 0.0), "sigma": (">= 0", -0.05), "lam": (">= 0", -1.0)}),
+    BrownianBridge: (dict(s0=103.0, face_value=100.0, sigma=1.0, maturity=1.0),
+                     {"s0": ("finite", math.inf), "face_value": ("> 0", -3.0),
+                      "sigma": (">= 0", -1.0), "maturity": ("> 0", 0.0)}),
+    TwoPointMarks: (dict(size=0.01), {"size": (">= 0", -0.1)}),
+}
+
+
+@pytest.mark.parametrize("record, field, value", [
+    pytest.param(record, field, value, id=f"{record.__name__}.{field}={value}")
+    for record, (_, rules) in DOMAINS.items() for field, (_, bad) in rules.items()
+    for value in (math.nan, bad)])
+def test_each_out_of_domain_field_names_its_record_field_and_value(record, field, value):
+    valid, rules = DOMAINS[record]
+    assert set(rules) == {f.name for f in dataclasses.fields(record) if f.type == "float"}
+    record(**valid)
+    rule = rules[field][0] if math.isfinite(value) else "finite"
+    with pytest.raises(DomainError, match=re.escape(f"{record.__name__}.{field} must be "
+                                                    f"{rule}, got {value}")):
+        record(**{**valid, field: value})
+
+
+@pytest.mark.parametrize("horizon", [1.0, 4.0])
+def test_jump_count_above_the_per_path_bound_is_refused_before_any_draw(horizon):
+    # just above the bound the check raises before a single event is drawn; a
+    # sample at or near the bound would allocate about 0.3 GB per path
+    lam = np.nextafter(_MAX_MEAN_JUMPS / horizon, math.inf)
+    model = OuJumpDiffusion(m=flat_log(100.0), alpha=5.0, sigma=0.05, lam=lam)
+    with pytest.raises(DomainError, match=re.escape(
+            f"model.lambda = {lam:g} gives a mean jump count lambda*T = {lam * horizon:g}, "
+            "above the per-path bound of 1e+07")):
+        sample_path(model, TimeGrid.uniform(horizon, 4), 1)
 
 
 def test_ou_jump_moments_match_their_component_laws():
