@@ -32,6 +32,8 @@ __all__ = [
     "calibrate_ou_jump",
 ]
 
+_TARGET_CHUNK = 2**16  # samples per chunk of extract_target's window sums
+
 
 @dataclass(frozen=True)
 class MidPriceSeries:
@@ -47,7 +49,7 @@ class MidPriceSeries:
         object.__setattr__(self, "prices", p)
         if t.ndim != 1 or t.shape != p.shape or t.size < 2:
             raise DomainError("need matching 1-d timestamp/price arrays, >= 2 rows")
-        if np.any(np.diff(t) < 0):
+        if np.any(t[1:] < t[:-1]):
             raise DomainError("timestamps must be non-decreasing")
         if np.any(p <= 0) or not np.all(np.isfinite(p)):
             raise DomainError("prices must be positive and finite")
@@ -71,19 +73,22 @@ def extract_target(series: MidPriceSeries, window: float) -> SampledPath:
     if window > series.span:
         window = series.span
     t = series.timestamps
-    logp = np.log(series.prices)
-    # centered window, shifted to stay inside the data near the edges: the
-    # full-span window then reduces to the global mean everywhere
-    lo_time = np.clip(t - 0.5 * window, t[0], t[-1] - window)
-    hi_time = lo_time + window
+    csum = np.zeros(t.size + 1)
+    np.cumsum(np.log(series.prices, out=csum[1:]), out=csum[1:])
     # nudge the window edges so samples sitting exactly on a boundary are
     # included on both sides; otherwise float dust breaks the symmetry that
     # makes the average of a linear trend exact
     eps = 1e-9 * max(window, 1.0)
-    lo = np.searchsorted(t, lo_time - eps, side="left")
-    hi = np.searchsorted(t, hi_time + eps, side="right")
-    csum = np.concatenate(([0.0], np.cumsum(logp)))
-    m = (csum[hi] - csum[lo]) / (hi - lo)
+    m = np.empty(t.size)
+    # in chunks, so the edge arrays stay small; each m_i's operations are unchanged
+    for a in range(0, t.size, _TARGET_CHUNK):
+        # centered window, shifted to stay inside the data near the edges:
+        # the full-span window then reduces to the global mean everywhere
+        lo_time = np.clip(t[a:a + _TARGET_CHUNK] - 0.5 * window, t[0], t[-1] - window)
+        hi_time = lo_time + window
+        lo = np.searchsorted(t, lo_time - eps, side="left")
+        hi = np.searchsorted(t, hi_time + eps, side="right")
+        np.divide(csum[hi] - csum[lo], hi - lo, out=m[a:a + _TARGET_CHUNK])
     return SampledPath(TimeGrid(t - t[0]), m)
 
 
@@ -108,19 +113,22 @@ def fit_ou(residual: SampledPath) -> OuFit:
     t = residual.grid.times
     if y.size < 100:
         raise DomainError("need at least 100 residual points")
-    if np.allclose(y, y[0]):
+    # np.allclose(y, y[0])'s rule, without its series-length temporaries
+    if max(y.max() - y[0], y[0] - y.min()) <= 1e-8 + 1e-5 * abs(y[0]):
         raise EstimationError("degenerate residual: sigma = 0, alpha unidentified")
     dt = np.diff(t)
 
     uniform = np.ptp(dt) <= 1e-9 * dt[0]
     if uniform:
         step = float(dt[0])
+        del dt
         y0, y1 = y[:-1], y[1:]
         x0 = y0 - y0.mean()
         denom = float(x0 @ x0)
         if denom == 0.0:
             raise EstimationError("residual carries no variance")
-        rho = float(x0 @ (y1 - y1.mean())) / denom
+        resid = y1 - y1.mean()
+        rho = float(x0 @ resid) / denom
         if rho >= 1.0:
             raise EstimationError(f"AR(1) slope {rho:.6f} >= 1: no mean reversion detected")
         boundary = rho <= 0.0
@@ -129,7 +137,7 @@ def fit_ou(residual: SampledPath) -> OuFit:
             alpha = -math.log(1e-8) / step
         else:
             alpha = -math.log(rho) / step
-        resid = y1 - y1.mean() - rho * x0
+        resid -= np.multiply(rho, x0, out=x0)
         ssr = float(resid @ resid) / resid.size
         shrink = (1.0 - math.exp(-2.0 * alpha * step)) / (2.0 * alpha)
         sigma = math.sqrt(ssr / shrink)
@@ -183,11 +191,20 @@ def detect_jumps(residual: SampledPath, alpha: float, sigma: float, k: float) ->
         raise DomainError(f"threshold multiplier must be a finite number > 0, got {k}")
     y = residual.values
     t = residual.grid.times
-    dt = np.diff(t)
-    decay = np.exp(-alpha * dt)
-    displacement = y[1:] - decay * y[:-1]
-    scale = sigma * np.sqrt((1.0 - decay**2) / (2.0 * alpha))
-    hits = np.abs(displacement) > k * scale
+    decay = -alpha * np.diff(t)
+    np.exp(decay, out=decay)
+    displacement = decay * y[:-1]
+    np.subtract(y[1:], displacement, out=displacement)
+    # k times the transition scale, computed in the decay's buffer
+    threshold = np.square(decay, out=decay)
+    np.subtract(1.0, threshold, out=threshold)
+    threshold /= 2.0 * alpha
+    np.sqrt(threshold, out=threshold)
+    threshold *= sigma
+    threshold *= k
+    # |d| > s without the |d| array: the threshold is >= 0 or NaN
+    hits = displacement > threshold
+    hits |= displacement < np.negative(threshold, out=threshold)
     times = t[1:][hits]
     marks = displacement[hits]
     span = float(t[-1] - t[0])
@@ -219,18 +236,20 @@ def calibrate_ou_jump(series: MidPriceSeries, window: float, k: float = 4.0) -> 
     """
     target = extract_target(series, window)
     grid = target.grid
-    residual = SampledPath(grid, np.log(series.prices) - target.values)
+    resid = np.log(series.prices)
+    resid -= target.values
+    residual = SampledPath(grid, resid)
     first = fit_ou(residual)
     jumps = detect_jumps(residual, first.alpha, first.sigma, k)
-    cleaned = residual.values.copy()
+    # the residual is not read again: clean it in its own buffer
     if jumps.count:
         idx = np.searchsorted(grid.times, jumps.times)
-        steps = np.zeros_like(cleaned)
+        steps = np.zeros_like(resid)
         # borderline threshold exceedances (|mark| nearer zero than the
         # fitted size) are noise, not family members: reconstruct them as 0
-        family = np.where(np.abs(jumps.marks) > 0.5 * jumps.mark_size,
-                          np.sign(jumps.marks) * jumps.mark_size, 0.0)
-        steps[idx] = family
-        cleaned = cleaned - np.cumsum(steps)
-    refit = fit_ou(SampledPath(grid, cleaned))
+        steps[idx] = np.where(np.abs(jumps.marks) > 0.5 * jumps.mark_size,
+                              np.sign(jumps.marks) * jumps.mark_size, 0.0)
+        resid -= np.cumsum(steps, out=steps)
+        del steps
+    refit = fit_ou(SampledPath(grid, resid))
     return JumpModelFit(target=target, ou=refit, jumps=jumps, first_pass=first)

@@ -72,7 +72,7 @@ class TimeGrid:
             raise DomainError("grid needs at least two points")
         if t[0] != 0.0:
             raise DomainError("grid must start at 0")
-        if not np.all(np.diff(t) > 0.0):
+        if not np.all(t[1:] > t[:-1]):
             raise DomainError("grid times must be strictly increasing")
         if not np.all(np.isfinite(t)):
             raise DomainError("grid times must be finite")
