@@ -121,7 +121,7 @@ def fit_ou(residual: SampledPath) -> OuFit:
     uniform = np.ptp(dt) <= 1e-9 * dt[0]
     if uniform:
         step = float(dt[0])
-        del dt
+        del dt  # unused below: free it before the two regression arrays
         y0, y1 = y[:-1], y[1:]
         x0 = y0 - y0.mean()
         denom = float(x0 @ x0)
@@ -250,6 +250,6 @@ def calibrate_ou_jump(series: MidPriceSeries, window: float, k: float = 4.0) -> 
         steps[idx] = np.where(np.abs(jumps.marks) > 0.5 * jumps.mark_size,
                               np.sign(jumps.marks) * jumps.mark_size, 0.0)
         resid -= np.cumsum(steps, out=steps)
-        del steps
+        del steps  # free it before the refit
     refit = fit_ou(SampledPath(grid, resid))
     return JumpModelFit(target=target, ou=refit, jumps=jumps, first_pass=first)
