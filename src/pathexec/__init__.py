@@ -47,7 +47,6 @@ from .pathcalc import (
     SampledPath,
     TimeGrid,
     resample,
-    stieltjes_integral,
     young_integral,
 )
 from .pricemodels import (

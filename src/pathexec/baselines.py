@@ -52,20 +52,13 @@ def aposteriori_optimal(params: MarketParams, realized: SampledPath, closed) -> 
     return closed(params, realized, realized)
 
 
-def _phi_scaled(params: MarketParams, u: np.ndarray) -> np.ndarray:
-    """phi(u)/c3, finite for all c3 >= 0."""
+def _phi_scaled(params: MarketParams, u: np.ndarray):
+    """phi(u)/c3 and phi'(u)/c3, finite for all c3 >= 0 (c3 -> 0 is the risk-neutral line)."""
     c3, c6 = params.risk_ratio, params.penalty_ratio
     if params.risk_neutral:
-        return 1.0 + c6**2 * u
-    return np.cosh(c3 * u) + (c6**2 / c3) * np.sinh(c3 * u)
-
-
-def _dphi_scaled(params: MarketParams, u: np.ndarray) -> np.ndarray:
-    """phi'(u)/c3."""
-    c3, c6 = params.risk_ratio, params.penalty_ratio
-    if params.risk_neutral:
-        return np.full_like(np.asarray(u, dtype=float), c6**2)
-    return c3 * np.sinh(c3 * u) + c6**2 * np.cosh(c3 * u)
+        return 1.0 + c6**2 * u, np.full_like(u, c6**2)
+    ch, sh = np.cosh(c3 * u), np.sinh(c3 * u)
+    return ch + (c6**2 / c3) * sh, c3 * sh + c6**2 * ch
 
 
 def terminal_penalty_optimal(params: MarketParams, drift: SampledPath) -> ExecutionPlan:
@@ -84,8 +77,7 @@ def terminal_penalty_optimal(params: MarketParams, drift: SampledPath) -> Execut
     x0 = params.initial_inventory
     half_impact = 2.0 * c1**2
 
-    phi_rev = _phi_scaled(params, T - t)          # phi(T-t)/c3
-    dphi_rev = _dphi_scaled(params, T - t)        # phi'(T-t)/c3
+    phi_rev, dphi_rev = _phi_scaled(params, T - t)  # phi(T-t)/c3, phi'(T-t)/c3
     # v(t) = [G(T) - G(t)] / (2 c1^2 phi(T-t)) with G a left-point Stieltjes
     # cumulative of phi(T-r) against the drift increments
     g = cumulative_young(phi_rev, drift.values)

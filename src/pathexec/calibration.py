@@ -37,7 +37,7 @@ _TARGET_CHUNK = 2**16  # samples per chunk of extract_target's window sums
 
 @dataclass(frozen=True)
 class MidPriceSeries:
-    """Timestamps (non-decreasing) and strictly positive mid prices."""
+    """Finite non-decreasing timestamps and strictly positive mid prices."""
 
     timestamps: np.ndarray
     prices: np.ndarray
@@ -51,6 +51,8 @@ class MidPriceSeries:
             raise DomainError("need matching 1-d timestamp/price arrays, >= 2 rows")
         if np.any(t[1:] < t[:-1]):
             raise DomainError("timestamps must be non-decreasing")
+        if not np.all(np.isfinite(t)):
+            raise DomainError("timestamps must be finite")
         if np.any(p <= 0) or not np.all(np.isfinite(p)):
             raise DomainError("prices must be positive and finite")
 
@@ -146,23 +148,22 @@ def fit_ou(residual: SampledPath) -> OuFit:
     mean = y.mean()
     y0, y1 = y[:-1] - mean, y[1:] - mean
 
-    def neg_profile_loglik(log_alpha: float) -> float:
+    def profile(log_alpha: float):
+        """sigma^2 profiled out at alpha = e^log_alpha, and the per-step variance factors v."""
         a = math.exp(log_alpha)
         decay = np.exp(-a * dt)
         v = (1.0 - decay**2) / (2.0 * a)
-        resid_sq = (y1 - decay * y0) ** 2
-        s2 = float(np.mean(resid_sq / v))
-        return 0.5 * float(np.sum(np.log(v))) + 0.5 * resid_sq.size * math.log(s2)
+        return float(np.mean((y1 - decay * y0) ** 2 / v)), v
+
+    def neg_profile_loglik(log_alpha: float) -> float:
+        s2, v = profile(log_alpha)
+        return 0.5 * float(np.sum(np.log(v))) + 0.5 * y1.size * math.log(s2)
 
     from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(neg_profile_loglik, bounds=(-10.0, 15.0), method="bounded")
-    alpha = math.exp(res.x)
-    decay = np.exp(-alpha * dt)
-    v = (1.0 - decay**2) / (2.0 * alpha)
-    sigma = math.sqrt(float(np.mean((y1 - decay * y0) ** 2 / v)))
-    boundary = res.x >= 15.0 - 1e-6
-    return OuFit(alpha=alpha, sigma=sigma, boundary=boundary)
+    sigma = math.sqrt(profile(res.x)[0])
+    return OuFit(alpha=math.exp(res.x), sigma=sigma, boundary=bool(res.x >= 15.0 - 1e-6))
 
 
 @dataclass(frozen=True)

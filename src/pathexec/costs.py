@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .pathcalc import SampledPath, require_shared_grid, trapezoid
+from .pricemodels import _stream
 from .strategies import CRITERIA, ExecutionPlan, MarketParams
 
 __all__ = [
@@ -79,13 +80,12 @@ N_SINE_MODES = 16
 def _perturbation_matrix(count: int, seed: int, scale: float):
     """Gaussian sine-mode coefficients (count, 16) and endpoint-bump draws.
 
-    Coefficients and bumps come from two sub-streams of the seed, each drawn
-    in one call, so the first n perturbations of a larger count are the
-    n-perturbation draw.
+    Coefficients and bumps come from the seed's sub-streams 0 and 1, as a
+    price path's noise and jumps do, each drawn in one call, so the first n
+    perturbations of a larger count are the n-perturbation draw.
     """
     k = np.arange(1, N_SINE_MODES + 1)
-    sine_rng, bump_rng = (np.random.Generator(np.random.PCG64(child))
-                          for child in np.random.SeedSequence(seed).spawn(2))
+    sine_rng, bump_rng = _stream(seed, 0), _stream(seed, 1)
     coeffs = sine_rng.standard_normal((count, N_SINE_MODES)) * scale / k
     return coeffs, bump_rng.uniform(-1.2, 1.2, count)
 

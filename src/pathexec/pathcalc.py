@@ -28,7 +28,6 @@ __all__ = [
     "cumulative_trapezoid",
     "cumulative_young",
     "young_integral",
-    "stieltjes_integral",
     "resample",
 ]
 
@@ -79,8 +78,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
-        if steps < 1 or horizon <= 0.0:
-            raise DomainError("need steps >= 1 and horizon > 0")
+        if steps < 1 or not 0.0 < horizon < np.inf:
+            raise DomainError("need steps >= 1 and finite horizon > 0")
         return cls(np.linspace(0.0, horizon, steps + 1))
 
     @property
@@ -161,11 +160,6 @@ def young_integral(integrand: SampledPath, integrator: SampledPath, s: float, t:
     if i > j:
         raise DomainError("need s <= t")
     return float(cumulative_young(integrand.values[i:j + 1], integrator.values[i:j + 1])[-1])
-
-
-def stieltjes_integral(integrand: SampledPath, differentiated: SampledPath, s: float, t: float) -> float:
-    """Left-point sum of the integrand against the increments of a smooth path."""
-    return young_integral(integrand, differentiated, s, t)
 
 
 def resample(path: SampledPath, grid: TimeGrid, kind: str = "previous") -> SampledPath:

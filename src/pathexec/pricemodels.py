@@ -6,10 +6,10 @@ moments of the sampled process: ``t -> E[S_t]`` and ``t -> Var(S_t)``.
 Sampling uses exact Gaussian transition laws (no Euler stepping of SDEs), so
 the only discretization left in the system is the grid itself.
 
-Seed contract: one 64-bit seed per path, drawn in seed order; the diffusion
-and jump components draw from sub-streams split off that seed in a fixed
-order, so toggling jumps on or off never perturbs the diffusion draw, and a
-block row equals its one-seed path bit for bit.
+Seed contract: one 64-bit seed per path, drawn in seed order; a path's
+Gaussian noise comes from sub-stream 0 of its seed and its jumps from
+sub-stream 1, so toggling jumps on or off never perturbs the diffusion draw,
+and a block row equals its one-seed path bit for bit.
 """
 
 from __future__ import annotations
@@ -46,11 +46,18 @@ def _stream(seed, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(k,))))
 
 
-def _brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
-    """W on the grid, one row per seed, each drawn from its seed's first sub-stream."""
-    w = np.zeros((len(seeds), len(grid)))
+def _normals(seeds, points: int) -> np.ndarray:
+    """Every sampler's Gaussian noise: one row per seed, a zero for the path's
+    start, then one standard normal per step drawn from the seed's sub-stream 0."""
+    z = np.zeros((len(seeds), points))
     for row, seed in enumerate(seeds):
-        _stream(seed, 0).standard_normal(out=w[row, 1:])
+        _stream(seed, 0).standard_normal(out=z[row, 1:])
+    return z
+
+
+def _brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
+    """W on the grid, one row per seed."""
+    w = _normals(seeds, len(grid))
     w[:, 1:] *= np.sqrt(np.diff(grid.times))
     np.cumsum(w[:, 1:], axis=1, out=w[:, 1:])
     return w
@@ -141,7 +148,7 @@ class OuJumpDiffusion:
             raise DomainError("OuJumpDiffusion's moments need two_point_marks(size) marks")
 
     def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
-        """Each path draws from its own two sub-streams: diffusion, then jumps."""
+        """Each path draws its diffusion from sub-stream 0 and its jumps from sub-stream 1."""
         t = grid.times
         dt = np.diff(t)
         decay = np.exp(-self.alpha * dt)
@@ -150,24 +157,22 @@ class OuJumpDiffusion:
         if mean_jumps > _MAX_MEAN_JUMPS:
             raise DomainError(f"model.lambda = {self.lam:g} gives a mean jump count lambda*T = "
                               f"{mean_jumps:g}, above the per-path bound of {_MAX_MEAN_JUMPS:g}")
-        shocks = np.empty((len(seeds), dt.size))
         # compound Poisson marks, each on the largest grid point <= its event time
         n = np.zeros((len(seeds), t.size))
         for row, seed in enumerate(seeds):
-            rng_diff, rng_jump = _stream(seed, 0), _stream(seed, 1)
-            rng_diff.standard_normal(out=shocks[row])
+            rng_jump = _stream(seed, 1)
             n_jumps = rng_jump.poisson(mean_jumps)
             if n_jumps:
                 events = np.sort(rng_jump.uniform(0.0, grid.horizon, size=n_jumps))
                 np.add.at(n[row], np.searchsorted(t, events, side="right") - 1,
                           self.mark_sampler(rng_jump, n_jumps))
-        shocks *= std
 
         # Ornstein-Uhlenbeck factor, started at zero: the exact AR(1) recursion,
-        # one step per grid interval on every grid
-        y = np.zeros((len(seeds), t.size))
+        # one step per grid interval on every grid, run in the shocks' buffer
+        y = _normals(seeds, t.size)
+        y[:, 1:] *= std
         for i in range(dt.size):
-            y[:, i + 1] = y[:, i] * decay[i] + shocks[:, i]
+            y[:, i + 1] += y[:, i] * decay[i]
         np.cumsum(n, axis=1, out=n)
         y += self.m(t)
         y += n
@@ -207,18 +212,13 @@ class BrownianBridge:
         check_domain(self, {"s0": "finite", "face_value": "> 0", "sigma": ">= 0",
                             "maturity": "> 0"})
 
-    def _check_grid(self, grid: TimeGrid) -> None:
+    def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
         if grid.horizon > self.maturity:
             raise DomainError("grid extends beyond the bridge maturity")
-
-    def _sample_block(self, grid: TimeGrid, seeds) -> np.ndarray:
-        self._check_grid(grid)
         t = grid.times
         gap, dt = self.maturity - t[:-1], np.diff(t)
-        s = np.empty((len(seeds), len(grid)))
+        s = _normals(seeds, len(grid))
         s[:, 0] = self.s0
-        for row, seed in enumerate(seeds):
-            _stream(seed, 0).standard_normal(out=s[row, 1:])
         # exact transition from t_i to t_(i+1): the conditional noise, plus a
         # dt/gap share of the way from S_i to the face value
         s[:, 1:] *= np.sqrt(np.maximum(self.sigma**2 * dt * (self.maturity - t[1:]) / gap, 0.0))

@@ -33,7 +33,6 @@ from pathexec import (
     good_exec_var_ivp,
     resample,
     static_optimal,
-    stieltjes_integral,
     terminal_penalty_optimal,
     two_point_marks,
     young_integral,
@@ -246,7 +245,7 @@ def test_criterion_8_young_calculus_suite():
     lin = SampledPath.from_function(fine, lambda t: t)
     sq = SampledPath.from_function(fine, lambda t: t**2)
     young_err = abs(young_integral(lin, lin, 0.0, 1.0) - 0.5)
-    stielt_err = abs(stieltjes_integral(lin, sq, 0.0, 1.0) - 2.0 / 3.0)
+    stielt_err = abs(young_integral(lin, sq, 0.0, 1.0) - 2.0 / 3.0)
     ok = ok and young_err <= 1e-4 and stielt_err <= 1e-4
 
     # residual decay rates under dyadic refinement
@@ -260,7 +259,7 @@ def test_criterion_8_young_calculus_suite():
             g = fine.restrict(2**k)
             s = resample(path_fine, g, kind)
             eta = SampledPath.from_function(g, np.sin)
-            lhs = young_integral(eta, s, 0.0, 1.0) + stieltjes_integral(s, eta, 0.0, 1.0)
+            lhs = young_integral(eta, s, 0.0, 1.0) + young_integral(s, eta, 0.0, 1.0)
             boundary = eta.values[-1] * s.values[-1] - eta.values[0] * s.values[0]
             residuals.append(abs(lhs - boundary))
         rates[label] = math.log2(residuals[0] / residuals[-1]) / 4.0

@@ -170,3 +170,15 @@ def test_series_validation():
         MidPriceSeries(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
     with pytest.raises(DomainError):
         MidPriceSeries(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param([math.nan, 1.0, 2.0], id="leading-nan"),
+    pytest.param([0.0, 1.0, math.inf], id="trailing-inf"),
+])
+def test_series_refuses_non_finite_timestamps(times):
+    # refused at construction, never a divide warning or a misleading grid
+    # message later in calibration; test_calibration_inplace's neighbour
+    # table holds the non-finite cases inside the series
+    with pytest.raises(DomainError, match="timestamps must be finite"):
+        MidPriceSeries(np.array(times), np.ones(len(times)))

@@ -6,6 +6,8 @@ by the same operations in the same order, only in place or in chunks, so
 every fitted number must match the oracle bit for bit.
 """
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -156,6 +158,17 @@ def test_irregular_fit_is_byte_identical_to_the_oracle():
     assert not fit.ou.boundary  # the likelihood branch found an interior optimum
 
 
+@pytest.mark.parametrize("make", [uniform_series, irregular_series], ids=["uniform", "irregular"])
+def test_ou_fit_holds_python_values(make):
+    # both fit_ou branches, the regression and the likelihood, return a Python
+    # bool, so a fit serialises as JSON
+    series = make(5_000)
+    fit = calibrate_ou_jump(series, 0.2 * series.span, k=4.0)
+    for ou in (fit.first_pass, fit.ou):
+        assert type(ou.boundary) is bool
+        json.dumps(dataclasses.asdict(ou))
+
+
 def test_target_does_not_depend_on_the_chunk_length(monkeypatch):
     series = irregular_series(5_000)
     window = 0.3 * series.span
@@ -194,8 +207,9 @@ NEIGHBOURS = {
 
 @pytest.mark.parametrize("times", NEIGHBOURS.values(), ids=NEIGHBOURS.keys())
 def test_monotonicity_checks_on_edge_neighbours(times):
-    # TimeGrid wants strictly increasing times, the series non-decreasing ones;
-    # each decides as a sign test on np.diff(times) would, with the same message
+    # TimeGrid wants strictly increasing times, the series non-decreasing finite
+    # ones; each decides order as a sign test on np.diff(times) would, with the
+    # same message, and the series then refuses a non-finite timestamp
     t = np.array(times)
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.diff(t)
@@ -206,6 +220,9 @@ def test_monotonicity_checks_on_edge_neighbours(times):
                 TimeGrid(t)
         if np.any(d < 0):
             with pytest.raises(DomainError, match="non-decreasing"):
+                MidPriceSeries(t, np.ones(t.size))
+        elif not np.all(np.isfinite(t)):
+            with pytest.raises(DomainError, match="timestamps must be finite"):
                 MidPriceSeries(t, np.ones(t.size))
         else:
             MidPriceSeries(t, np.ones(t.size))

@@ -10,7 +10,6 @@ from pathexec import (
     SampledPath,
     TimeGrid,
     resample,
-    stieltjes_integral,
     young_integral,
 )
 from pathexec.pathcalc import cumulative_young
@@ -25,6 +24,12 @@ def test_grid_invariants():
         TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(DomainError):
         TimeGrid(np.array([0.1, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_uniform_grid_needs_a_finite_positive_horizon(horizon):
+    with pytest.raises(DomainError, match="finite horizon > 0"):
+        TimeGrid.uniform(horizon, 4)
 
 
 def test_path_validation(grid):
@@ -75,16 +80,16 @@ def test_stieltjes_examples():
     g = TimeGrid.uniform(1.0, 2**16)
     const = SampledPath.constant(g, 3.0)
     lin = SampledPath.from_function(g, lambda t: t)
-    assert stieltjes_integral(const, lin, 0.0, 1.0) == pytest.approx(3.0, abs=1e-12)
+    assert young_integral(const, lin, 0.0, 1.0) == pytest.approx(3.0, abs=1e-12)
     quad = SampledPath.from_function(g, lambda t: t**2)
-    assert stieltjes_integral(lin, quad, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-4)
+    assert young_integral(lin, quad, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-4)
 
 
 def test_integration_by_parts_residual_brownian():
     g = TimeGrid.uniform(1.0, 2**16)
     s = sample_path(ArithmeticBrownian(s0=100.0, sigma=1.0), g, 5)
     eta = SampledPath.from_function(g, np.sin)
-    lhs = young_integral(eta, s, 0.0, 1.0) + stieltjes_integral(s, eta, 0.0, 1.0)
+    lhs = young_integral(eta, s, 0.0, 1.0) + young_integral(s, eta, 0.0, 1.0)
     boundary = eta.values[-1] * s.values[-1] - eta.values[0] * s.values[0]
     cross = float(np.sum(np.diff(eta.values) * np.diff(s.values)))
     # on a fixed grid the identity is exact: residual equals the cross sum
@@ -108,7 +113,7 @@ def test_integration_by_parts_rate(maker, order_floor):
         g = fine.restrict(2**k)
         s = resample(s_fine, g, kind)
         eta = SampledPath.from_function(g, np.sin)
-        lhs = young_integral(eta, s, 0.0, 1.0) + stieltjes_integral(s, eta, 0.0, 1.0)
+        lhs = young_integral(eta, s, 0.0, 1.0) + young_integral(s, eta, 0.0, 1.0)
         boundary = eta.values[-1] * s.values[-1] - eta.values[0] * s.values[0]
         residuals.append(abs(lhs - boundary))
     slope = math.log2(residuals[0] / residuals[-1]) / 4.0

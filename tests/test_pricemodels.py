@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -17,6 +19,7 @@ from pathexec import (
     TimeGrid,
     two_point_marks,
 )
+from pathexec import pricemodels
 from pathexec.pricemodels import (_MAX_MEAN_JUMPS, TwoPointMarks, expected_path, sample_path,
                                   variance_path)
 
@@ -254,38 +257,61 @@ def test_block_rows_equal_one_seed_paths(model, grid):
         sample_path(model, grid, seeds.reshape(1, -1))
 
 
+# numpy names that turn a seed into random numbers
+RNG_NAMES = {"Generator", "BitGenerator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
+             "SeedSequence", "default_rng", "RandomState", "spawn"}
+
+
+def _rng_uses(path):
+    """Line and text of each place in a module that reaches numpy's random
+    machinery, except ``run_scenario``'s root-to-path ``generate_state``."""
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    if path.name == "harness.py":
+        (run,) = (f for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "run_scenario")
+        for node in ast.walk(run):
+            if (isinstance(node, ast.Attribute) and node.attr == "generate_state"
+                    and isinstance(node.value, ast.Call)):
+                allowed.update(id(n) for n in ast.walk(node.value.func))
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in RNG_NAMES or (node.attr == "random" and isinstance(
+                node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        else:
+            hit = isinstance(node, ast.Name) and node.id in RNG_NAMES
+        if hit and id(node) not in allowed:
+            uses.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return uses
+
+
+def test_only_pricemodels_turns_a_seed_into_a_stream(tmp_path):
+    # the seed contract is written once, in pricemodels._stream: a second copy
+    # (a Generator, bit generator or SeedSequence spawn elsewhere) fails here
+    src = pathlib.Path(pricemodels.__file__).parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "pricemodels.py")
+    assert len(modules) >= 10
+    assert [use for p in modules for use in _rng_uses(p)] == []
+    # the scan sees an imported name, a spawned stream and a legacy global draw
+    copy = tmp_path / "copy.py"
+    copy.write_text("import numpy as np\nfrom numpy.random import SeedSequence\n"
+                    "rng = np.random.Generator(np.random.PCG64(SeedSequence(1).spawn(2)[0]))\n"
+                    "z = np.random.normal()\n")
+    assert {use.split(":")[1] for use in _rng_uses(copy)} == {"2", "3", "4"}
+
+
 def test_deterministic_model():
     m = DeterministicPrice(fn=lambda t: 100.0 + 3.0 * np.asarray(t))
     s = sample_path(m, GRID, 0)
     assert np.allclose(s.values, 100.0 + 3.0 * GRID.times)
     assert np.array_equal(expected_path(m, GRID).values, s.values)
     assert np.all(variance_path(m, GRID).values == 0.0)
-
-
-def test_parameter_validation():
-    with pytest.raises(DomainError):
-        ArithmeticBrownian(s0=1.0, sigma=-1.0)
-    with pytest.raises(DomainError):
-        OuJumpDiffusion(m=flat_log(1.0), alpha=0.0, sigma=0.1, lam=1.0)
-    with pytest.raises(DomainError):
-        BrownianBridge(s0=1.0, face_value=1.0, sigma=0.1, maturity=-1.0)
-
-
-@pytest.mark.parametrize("build, field", [
-    pytest.param(lambda: ArithmeticBrownian(s0=math.nan, sigma=1.0), "s0", id="abm-s0"),
-    pytest.param(lambda: ArithmeticBrownian(s0=100.0, sigma=math.inf), "sigma", id="abm-sigma"),
-    pytest.param(lambda: ExponentialMartingale(s0=math.nan, sigma=0.2), "s0", id="exp-s0"),
-    pytest.param(lambda: BrownianBridge(s0=math.nan, face_value=100.0, sigma=1.0, maturity=1.0),
-                 "s0", id="bridge-s0"),
-    pytest.param(lambda: OuJumpDiffusion(m=flat_log(1.0), alpha=math.inf, sigma=0.1,
-                                         lam=math.nan), "alpha", id="ou-alpha"),
-    pytest.param(lambda: OuJumpDiffusion(m=flat_log(1.0), alpha=5.0, sigma=0.1, lam=math.nan),
-                 "lam", id="ou-lam"),
-    pytest.param(lambda: two_point_marks(math.nan), "size", id="marks-size"),
-])
-def test_non_finite_parameters_name_the_field(build, field):
-    with pytest.raises(DomainError, match=rf"\.{field} must be finite"):
-        build()
 
 
 def test_ou_jump_moments_need_two_point_marks():
@@ -296,7 +322,7 @@ def test_ou_jump_moments_need_two_point_marks():
         two_point_marks(-0.01)
 
 
-# record -> valid fields, and each float field's rule with a value that breaks it
+# record -> valid fields, and each float field's rule with the values that break it
 DOMAINS = {
     MarketParams: (dict(impact=1.35, risk_aversion=1.15, initial_inventory=1e3, horizon=1.0),
                    {"impact": ("> 0", 0.0), "risk_aversion": (">= 0", -2.0),
@@ -311,23 +337,27 @@ DOMAINS = {
                       {"alpha": ("> 0", 0.0), "sigma": (">= 0", -0.05), "lam": (">= 0", -1.0)}),
     BrownianBridge: (dict(s0=103.0, face_value=100.0, sigma=1.0, maturity=1.0),
                      {"s0": ("finite", math.inf), "face_value": ("> 0", -3.0),
-                      "sigma": (">= 0", -1.0), "maturity": ("> 0", 0.0)}),
+                      "sigma": (">= 0", -1.0), "maturity": ("> 0", 0.0, -1.0)}),
     TwoPointMarks: (dict(size=0.01), {"size": (">= 0", -0.1)}),
 }
 
 
-@pytest.mark.parametrize("record, field, value", [
-    pytest.param(record, field, value, id=f"{record.__name__}.{field}={value}")
-    for record, (_, rules) in DOMAINS.items() for field, (_, bad) in rules.items()
-    for value in (math.nan, bad)])
-def test_each_out_of_domain_field_names_its_record_field_and_value(record, field, value):
+@pytest.mark.parametrize("record, field, value, others", [
+    *(pytest.param(record, field, value, {}, id=f"{record.__name__}.{field}={value}")
+      for record, (_, rules) in DOMAINS.items() for field, (_, *bad) in rules.items()
+      for value in dict.fromkeys((math.nan, *bad, math.inf, -math.inf))),
+    # two bad fields: the first in declaration order is named
+    pytest.param(OuJumpDiffusion, "alpha", math.inf, {"lam": math.nan},
+                 id="OuJumpDiffusion.alpha=inf,lam=nan"),
+])
+def test_each_out_of_domain_field_names_its_record_field_and_value(record, field, value, others):
     valid, rules = DOMAINS[record]
     assert set(rules) == {f.name for f in dataclasses.fields(record) if f.type == "float"}
     record(**valid)
     rule = rules[field][0] if math.isfinite(value) else "finite"
     with pytest.raises(DomainError, match=re.escape(f"{record.__name__}.{field} must be "
                                                     f"{rule}, got {value}")):
-        record(**{**valid, field: value})
+        record(**{**valid, field: value, **others})
 
 
 @pytest.mark.parametrize("horizon", [1.0, 4.0])
